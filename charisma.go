@@ -229,7 +229,8 @@ func Run(o Options) (Result, error) {
 // runScenarios executes scenarios on the sweep grid's in-process loopback
 // transport: replications resolve against the (optional) content-addressed
 // cache, grow adaptively when TargetPrecision asks for it, and merge in
-// replication order — byte-identical to the plain replication runner.
+// replication order — byte-identical to the sequential reference
+// run.Sequential.
 func (o Options) runScenarios(ctx context.Context, scs []core.Scenario) ([]mac.Result, error) {
 	points := make([]grid.Point, len(scs))
 	for i, sc := range scs {

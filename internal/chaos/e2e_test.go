@@ -64,13 +64,13 @@ func TestInjectCacheFaultsDetectedByGrid(t *testing.T) {
 // a sweep over real HTTP with one worker injecting wire faults on every
 // class and one worker lying on every result must still finish — via
 // backoff, retries, lease re-queueing, and the byzantine audit — with
-// results byte-identical to the in-process runner, and with the liar
+// results byte-identical to the sequential reference, and with the liar
 // quarantined.
 func TestChaoticSweepByteIdentical(t *testing.T) {
 	const reps = 2
 	ctx := context.Background()
 	scs := e2eScenarios()
-	want, err := run.Runner{}.Run(ctx, run.NewPlan(scs, reps))
+	want, err := run.Sequential(scs, reps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,6 +146,6 @@ func TestChaoticSweepByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("chaotic sweep differs from in-process runner")
+		t.Fatal("chaotic sweep differs from sequential reference")
 	}
 }

@@ -10,10 +10,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -275,8 +273,8 @@ func newRunArena() *runArena {
 var arenaPool = sync.Pool{New: func() any { return newRunArena() }}
 
 // Arena traffic counters: pool hits versus fresh constructions. Atomics,
-// not SimCounters fields — Run executes on whatever goroutine RunMany
-// gave it, so these are genuinely concurrent. One add per replication is
+// not SimCounters fields — replications run concurrently on grid
+// workers, so these are genuinely concurrent. One add per replication is
 // far off the per-event hot path.
 var arenaReuses, arenaBuilds atomic.Uint64
 
@@ -524,39 +522,4 @@ func (sc Scenario) runIn(a *runArena) (mac.Result, error) {
 	eng.Run()
 
 	return sys.M.Result(proto.Name(), sys.Cfg.Geometry.FrameSymbols), nil
-}
-
-// RunMany executes scenarios concurrently across the machine's cores and
-// returns results in input order. An error aborts nothing — every scenario
-// runs — and all per-scenario errors are reported together via
-// errors.Join. Replication-aware batches should prefer the internal/run
-// package, which layers seed derivation, aggregation and cancellation on
-// top of this primitive's semantics.
-func RunMany(scs []Scenario) ([]mac.Result, error) {
-	results := make([]mac.Result, len(scs))
-	errs := make([]error, len(scs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(scs) {
-		workers = len(scs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i], errs[i] = scs[i].Run()
-			}
-		}()
-	}
-	for i := range scs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return results, errors.Join(errs...)
 }

@@ -148,8 +148,8 @@ func metricCI(m Metric, r mac.Result) float64 {
 // runScenarios executes one sweep's scenarios as a grid session: every
 // (scenario, replication) pair is resolved against the cache, deduplicated
 // in flight, executed by the loopback pool and any attached remote
-// workers, and merged in rep order — byte-identical to the in-process
-// run.Runner plan it replaces.
+// workers, and merged in rep order — byte-identical to the sequential
+// reference run.Sequential.
 func (rc RunConfig) runScenarios(ctx context.Context, scs []core.Scenario) ([]mac.Result, error) {
 	points := make([]grid.Point, len(scs))
 	for i, sc := range scs {

@@ -15,10 +15,10 @@ import (
 // TestAuditCatchesLyingWorker: with -audit-frac 1, a worker that posts a
 // plausible-but-wrong result is caught by local re-execution, the worker
 // is quarantined, the oracle's own result lands instead, and the sweep
-// finishes byte-identical to the in-process runner.
+// finishes byte-identical to the sequential reference.
 func TestAuditCatchesLyingWorker(t *testing.T) {
 	ctx := context.Background()
-	want, err := run.Runner{}.Run(ctx, run.NewPlan(sweepScenarios(), 1))
+	want, err := run.Sequential(sweepScenarios(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestAuditCatchesLyingWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("audited sweep differs from in-process runner despite the lie")
+		t.Fatal("audited sweep differs from sequential reference despite the lie")
 	}
 }
 
@@ -101,7 +101,7 @@ func TestQuarantinedWorkerGetsNoTasks(t *testing.T) {
 // touched survives.
 func TestQuarantineUnwindsDeliveredResults(t *testing.T) {
 	ctx := context.Background()
-	want, err := run.Runner{}.Run(ctx, run.NewPlan(sweepScenarios(), 1))
+	want, err := run.Sequential(sweepScenarios(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,18 +178,18 @@ func TestQuarantineUnwindsDeliveredResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("unwound sweep differs from in-process runner")
+		t.Fatal("unwound sweep differs from sequential reference")
 	}
 }
 
 // TestAuditedRemoteSweepByteIdentical: honest workers over real HTTP
 // with every result audited — all audits pass, nobody is quarantined,
-// and the bytes match the in-process runner. The cost of -audit-frac 1
+// and the bytes match the sequential reference. The cost of -audit-frac 1
 // is re-execution time, never correctness.
 func TestAuditedRemoteSweepByteIdentical(t *testing.T) {
 	const reps = 2
 	ctx := context.Background()
-	want, err := run.Runner{}.Run(ctx, run.NewPlan(sweepScenarios(), reps))
+	want, err := run.Sequential(sweepScenarios(), reps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,6 +235,6 @@ func TestAuditedRemoteSweepByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("audited remote sweep differs from in-process runner")
+		t.Fatal("audited remote sweep differs from sequential reference")
 	}
 }

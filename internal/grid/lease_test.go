@@ -233,11 +233,11 @@ func TestZeroLeaseCompleteRetiresLease(t *testing.T) {
 // gate in-process: a sweep served over real HTTP where one worker claims
 // tasks and dies mid-execution (never completes, never heartbeats) must
 // still finish — via lease expiry and re-queueing — with results
-// byte-identical to the in-process runner.
+// byte-identical to the sequential reference.
 func TestCrashedWorkerSweepByteIdentical(t *testing.T) {
 	const reps = 2
 	ctx := context.Background()
-	want, err := run.Runner{}.Run(ctx, run.NewPlan(sweepScenarios(), reps))
+	want, err := run.Sequential(sweepScenarios(), reps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestCrashedWorkerSweepByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("crash-recovered sweep differs from in-process runner")
+		t.Fatal("crash-recovered sweep differs from sequential reference")
 	}
 }
 

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"context"
+	"math"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -34,14 +35,14 @@ func sweepPoints(reps int) []Point {
 
 // TestGridPathsByteIdentical is the acceptance gate for the subsystem: a
 // replicated sweep must produce byte-identical mac.Results across all four
-// execution paths — in-process runner, loopback grid, multi-worker grid,
+// execution paths — sequential reference, loopback grid, multi-worker grid,
 // and warm cache.
 func TestGridPathsByteIdentical(t *testing.T) {
 	const reps = 3
 	ctx := context.Background()
 
-	// Path 1: the in-process replication runner.
-	want, err := run.Runner{}.Run(ctx, run.NewPlan(sweepScenarios(), reps))
+	// Path 1: the sequential reference run.Sequential.
+	want, err := run.Sequential(sweepScenarios(), reps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestGridPathsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("loopback grid differs from in-process runner")
+		t.Fatal("loopback grid differs from sequential reference")
 	}
 
 	// Path 3: coordinator + two workers over real HTTP.
@@ -96,7 +97,7 @@ func TestGridPathsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("multi-worker grid differs from in-process runner")
+		t.Fatal("multi-worker grid differs from sequential reference")
 	}
 	if sess.Executed() == 0 {
 		t.Fatal("remote workers executed nothing")
@@ -130,7 +131,7 @@ func TestGridPathsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("warm cache differs from in-process runner")
+		t.Fatal("warm cache differs from sequential reference")
 	}
 }
 
@@ -245,16 +246,29 @@ func TestSessionStrayResultsIgnored(t *testing.T) {
 	}
 }
 
-// TestMulticellSpecMatchesPlanJob: the serializable multicell spec is the
-// transportable replacement for multicell.PlanJob — same seeds, same
-// normalization, same aggregate.
-func TestMulticellSpecMatchesPlanJob(t *testing.T) {
+// TestMulticellSpecMatchesSequential: the serializable multicell spec
+// replicates under the same seeds and per-cell-frame normalization as an
+// inline reference that shares no code with JobSpec.RunRep — a loop of
+// multicell.Run over run.RepSeed with Frames divided by the cell count —
+// and its throughput agrees with multicell.RunReplicated.
+func TestMulticellSpecMatchesSequential(t *testing.T) {
 	p := tinyMulticell()
+	p.NumData = 8 // data traffic: the throughput normalization must survive the fold
 	const reps = 2
-	want, err := run.Runner{}.Run(context.Background(),
-		run.Plan{Jobs: []run.Job{multicell.PlanJob(p, reps)}})
-	if err != nil {
-		t.Fatal(err)
+	rs := make([]mac.Result, reps)
+	for i := range rs {
+		pi := p
+		pi.Seed = run.RepSeed(p.Seed, i)
+		r, err := multicell.Run(pi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Result.Frames /= float64(len(r.PerCell))
+		rs[i] = r.Result
+	}
+	want := []mac.Result{mac.AggregateReplications(rs)}
+	if want[0].DataDelivered == 0 {
+		t.Fatal("deployment delivered no data; normalization not exercised")
 	}
 	sess, err := NewSession([]Point{{Spec: MulticellSpec(p), Replications: reps}}, nil, Precision{})
 	if err != nil {
@@ -268,7 +282,14 @@ func TestMulticellSpecMatchesPlanJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("multicell spec differs from PlanJob:\n%+v\n%+v", want[0], got[0])
+		t.Fatalf("multicell spec differs from the sequential reference:\n%+v\n%+v", want[0], got[0])
+	}
+	pooled, err := multicell.RunReplicated(context.Background(), p, reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(got[0].DataThroughputPerFrame-pooled.DataThroughputPerFrame) > 1e-9 {
+		t.Fatalf("grid throughput %v, RunReplicated %v", got[0].DataThroughputPerFrame, pooled.DataThroughputPerFrame)
 	}
 }
 

@@ -83,6 +83,9 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 	}
 	reserved := s.VoiceReservationsDue()
 	ri := 0
+	// gi is the FIFO head: grants pop by index, not by re-slicing, so the
+	// queue's backing array keeps its capacity across frames.
+	gi := 0
 
 	for slot := 0; slot < g.DRMAInfoSlots; slot++ {
 		// The BS announcement: is this slot assigned?
@@ -94,9 +97,9 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 			s.M.AddInfoUsed(g.InfoSlotSymbols)
 			continue
 		}
-		if len(grants) > 0 {
-			r := grants[0]
-			grants = grants[1:]
+		if gi < len(grants) {
+			r := grants[gi]
+			gi++
 			s.SetPendingAtBS(r.St, false)
 			if r.Kind == mac.KindVoice {
 				if r.St.Voice().Buffered() > 0 {
@@ -127,10 +130,10 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 
 	// Winners that found no free slot keep their dynamic reservation and
 	// take the first slots of upcoming frames.
-	for _, r := range grants {
+	for _, r := range grants[gi:] {
 		s.SetPendingAtBS(r.St, true)
 	}
-	p.pending = grants
+	p.pending = append(grants[:0], grants[gi:]...)
 	return g.Duration()
 }
 

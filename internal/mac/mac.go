@@ -948,10 +948,11 @@ func (s *System) PopQueueAt(i int) *Request {
 
 // TakeQueue empties the queue and returns its contents, clearing each
 // station's pending flag. CHARISMA uses this to rebuild its candidate pool
-// every frame.
+// every frame. The queue keeps its backing array, so the returned slice is
+// only valid until the next Enqueue.
 func (s *System) TakeQueue() []*Request {
 	q := s.queue
-	s.queue = nil
+	s.queue = q[:0]
 	for _, r := range q {
 		s.SetPendingAtBS(r.St, false)
 	}

@@ -416,36 +416,6 @@ func Run(p Params) (Result, error) {
 	return d.Run()
 }
 
-// PlanJob adapts a deployment into a run.Job, so multicell sweep points
-// can join the same replication plans (and worker pool) as single-cell
-// scenarios. The closure makes the job process-local; for anything that
-// crosses a serialization boundary — the sweep grid's cache, remote
-// workers — use grid.MulticellSpec, which carries the same Params as data
-// and applies the identical normalization. The job's mac.Result is the
-// deployment-wide aggregate with
-// Frames normalized to per-cell-frame equivalents (a deployment sums
-// frames across cells; the plan currency counts the measurement window
-// once), so the generic replication fold recomputes DataThroughputPerFrame
-// in the same per-cell-frame normalization Run and RunReplicated use and
-// the result is comparable with single-cell jobs in the same plan. The
-// handoff count is a deployment-level statistic and is not carried through
-// the plan currency.
-func PlanJob(p Params, replications int) run.Job {
-	return run.Job{
-		Custom: func(seed int64) (mac.Result, error) {
-			pi := p
-			pi.Seed = seed
-			r, err := Run(pi)
-			if cells := len(r.PerCell); cells > 0 {
-				r.Result.Frames /= float64(cells)
-			}
-			return r.Result, err
-		},
-		CustomSeed:   p.Seed,
-		Replications: replications,
-	}
-}
-
 // RunReplicated executes reps independent deployments concurrently — each
 // under a seed derived via run.RepSeed, so replication 0 reproduces Run(p)
 // exactly — and pools them: counters and handoffs sum, rates recompute

@@ -212,56 +212,6 @@ func TestRegistryInvariantUnderSharding(t *testing.T) {
 	}
 }
 
-// TestPlanJobJoinsScenarioPlans checks the run-plan integration: a
-// multicell deployment rides the same replication plan (and seed
-// discipline) as single-cell scenarios.
-func TestPlanJobJoinsScenarioPlans(t *testing.T) {
-	p := quickParams()
-	p.NumVoice, p.NumData = 20, 8 // data traffic: the throughput normalization must survive the plan fold
-	p.DurationSec = 3
-	sc := core.DefaultScenario(core.ProtoCharisma)
-	sc.NumVoice = 10
-	sc.WarmupSec, sc.DurationSec = 0.5, 1
-
-	plan := run.Plan{Jobs: []run.Job{
-		{Scenario: sc, Replications: 1},
-		PlanJob(p, 2),
-	}}
-	rs, err := run.Runner{}.Run(context.Background(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 2 {
-		t.Fatalf("%d results, want 2", len(rs))
-	}
-	if rs[0].Protocol != core.ProtoCharisma || rs[0].VoiceGenerated == 0 {
-		t.Fatal("scenario job did not run")
-	}
-	want, err := RunReplicated(context.Background(), p, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.DataDelivered == 0 {
-		t.Fatal("deployment delivered no data; normalization not exercised")
-	}
-	// The plan currency normalizes Frames to per-cell-frame equivalents;
-	// every other field — in particular the per-cell-frame throughput —
-	// must match the dedicated aggregation path exactly.
-	if got, expect := rs[1].Frames, want.Frames/float64(p.Cells); math.Abs(got-expect) > 1e-9 {
-		t.Fatalf("plan job Frames %v, want %v (per-cell-frame normalization)", got, expect)
-	}
-	if math.Abs(rs[1].DataThroughputPerFrame-want.DataThroughputPerFrame) > 1e-9 {
-		t.Fatalf("plan job throughput %v, RunReplicated %v", rs[1].DataThroughputPerFrame, want.DataThroughputPerFrame)
-	}
-	got := rs[1]
-	got.Frames = want.Frames
-	got.DataThroughputPerFrame = want.DataThroughputPerFrame
-	got.InfoUtilization = want.InfoUtilization // frame-weighted; weights differ only by the constant cell factor
-	if got != want.Result {
-		t.Fatal("multicell plan job differs from RunReplicated beyond normalization")
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	a, err := Run(quickParams())
 	if err != nil {
