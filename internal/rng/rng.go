@@ -19,14 +19,18 @@ import (
 )
 
 // Stream is a deterministic random stream with the distribution helpers the
-// models need. It wraps math/rand with an explicit private source.
+// models need. It wraps math/rand's distribution code around a private
+// source (source.go) whose sequence is bit-identical to
+// math/rand.NewSource(seed) but seeds by jump-ahead, about 3× faster.
 type Stream struct {
 	r *rand.Rand
 }
 
 // New returns a stream seeded with the given value.
 func New(seed int64) *Stream {
-	return &Stream{r: rand.New(rand.NewSource(seed))}
+	src := &source{}
+	src.Seed(seed)
+	return &Stream{r: rand.New(src)}
 }
 
 // FNV-1a 64-bit, inlined so seed derivation is allocation-free (the

@@ -205,16 +205,24 @@ func TestPermIsPermutation(t *testing.T) {
 // must emit exactly the sequence a new stream with that seed would. The
 // lazy population path depends on this — it probes first wakes through one
 // reusable stream reseeded per station instead of allocating a stream each.
+// Each Reseed follows more than rngLen draws, so the register has wrapped
+// and tap/feed sit away from their initial positions.
 func TestReseedMatchesNew(t *testing.T) {
 	s := New(1)
-	for _, seed := range []int64{7, 42, -3, 0, 1 << 40} {
-		s.Float64() // desync so Reseed must do real work
+	seeds := append([]int64{7, 42, -3, 1 << 40}, edgeSeeds...)
+	for _, seed := range seeds {
+		for i := 0; i < rngLen+11; i++ {
+			s.Float64()
+		}
 		s.Reseed(seed)
 		fresh := New(seed)
-		for i := 0; i < 100; i++ {
+		for i := 0; i < 1300; i++ {
 			if got, want := s.Float64(), fresh.Float64(); got != want {
 				t.Fatalf("seed %d draw %d: reseeded %v, fresh %v", seed, i, got, want)
 			}
 		}
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Reseed(12345) }); n != 0 {
+		t.Fatalf("Reseed allocates %v per call, want 0", n)
 	}
 }
