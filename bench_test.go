@@ -24,7 +24,6 @@ import (
 	"charisma/internal/phy"
 	"charisma/internal/rng"
 	"charisma/internal/sim"
-	"charisma/internal/traffic"
 )
 
 // benchRunConfig trims each sweep point to 2 measured seconds.
@@ -504,109 +503,9 @@ func BenchmarkModeSelection(b *testing.B) {
 // stations — lives beside the station registry it exercises:
 // internal/mac/registry_invariant_test.go.
 
-// --- population scaling: million-station cells -----------------------------
-
-// parkedLazyCell builds an n-station deferred population with a common
-// far-future first wake — the cheapest possible cell — and returns it with
-// the measured resident heap per station (GC-settled delta across the
-// build).
-func parkedLazyCell(b *testing.B, n int) (*mac.System, float64) {
-	b.Helper()
-	fw := make([]sim.Time, n)
-	for i := range fw {
-		fw[i] = 1 << 40
-	}
-	pop := &mac.LazyPopulation{
-		FirstWake: fw,
-		Materialize: func(slot int) (*traffic.VoiceSource, *traffic.DataSource, *channel.Fading) {
-			b.Fatalf("parked station %d materialized", slot)
-			return nil, nil, nil
-		},
-	}
-	runtime.GC()
-	var before runtime.MemStats
-	runtime.ReadMemStats(&before)
-	sys, err := mac.NewSystemLazy(mac.DefaultConfig(), phy.NewAdaptive(phy.DefaultParams()), n, rng.New(1), pop)
-	if err != nil {
-		b.Fatal(err)
-	}
-	runtime.GC()
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	return sys, float64(after.HeapAlloc-before.HeapAlloc) / float64(n)
-}
-
-// BenchmarkIdleCellPopulation pins the population-scaling promise of the
-// timer wheel + SoA slab layout: instantiating an idle cell costs O(tens
-// of bytes) per station (B/station metric), and the per-frame cost of
-// running it idle is population-independent — the 10⁶ row must stay within
-// a small constant of the 10⁴ row (ns/frame metric), because a frame
-// touches only the wheel's current granule and the (empty) active buckets,
-// never the parked population.
-func BenchmarkIdleCellPopulation(b *testing.B) {
-	for _, n := range []int{10_000, 100_000, 1_000_000} {
-		n := n
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			sys, perStation := parkedLazyCell(b, n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sys.BeginFrame()
-				sys.EndFrame(sys.FrameDuration())
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
-			b.ReportMetric(perStation, "B/station")
-			runtime.KeepAlive(sys)
-		})
-	}
-}
-
-// BenchmarkIdleWakeCell measures the steady-state idle-wake cycle at 10⁵
-// stations: 2000 voice stations cycle talkspurt→idle→wheel-wake while the
-// rest stay parked. Part of the zero-alloc gate in scripts/bench.sh — after
-// warmup the wake path (collect, materialize-free advance, re-arm,
-// cascade) must run allocation-free.
-func BenchmarkIdleWakeCell(b *testing.B) {
-	const n, active = 100_000, 2000
-	vp := traffic.DefaultVoiceParams()
-	voices := make([]*traffic.VoiceSource, active)
-	fw := make([]sim.Time, n)
-	for i := range fw {
-		if i < active {
-			voices[i] = traffic.NewVoice(vp, rng.DeriveIndexed(41, "benchv", i), 0)
-			fw[i] = voices[i].NextEventAt()
-		} else {
-			fw[i] = 1 << 40
-		}
-	}
-	pop := &mac.LazyPopulation{
-		FirstWake: fw,
-		Materialize: func(slot int) (*traffic.VoiceSource, *traffic.DataSource, *channel.Fading) {
-			return voices[slot], nil, nil
-		},
-	}
-	sys, err := mac.NewSystemLazy(mac.DefaultConfig(), phy.NewAdaptive(phy.DefaultParams()), n, rng.New(2), pop)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Warm past one level-1 wheel revolution (buckets, scratch slices) AND
-	// past every source's first long unserved talkspurt: a voice buffer
-	// only reaches its terminal capacity after ~65 packets accumulate in
-	// one talkspurt, which takes ~1.3 simulated seconds of talking. 32000
-	// frames ≈ 32 talk/silence cycles leaves no straggler among 2000
-	// sources, after which the frame path is allocation-free.
-	for f := 0; f < 32000; f++ {
-		sys.BeginFrame()
-		sys.EndFrame(sys.FrameDuration())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.BeginFrame()
-		sys.EndFrame(sys.FrameDuration())
-	}
-}
+// BenchmarkIdleCellPopulation and BenchmarkIdleWakeCell — population
+// scaling of million-station lazy cells — live beside their tests in
+// internal/mac/population_test.go.
 
 // BenchmarkMulticellSharded measures an 8-cell deployment advancing on 1
 // worker vs one per core: cells synchronize only at handoff decision
@@ -720,8 +619,8 @@ func TestObsOffHotPathAllocs(t *testing.T) {
 var obsBenchSink uint64
 
 // BenchmarkObsOffFrame is BenchmarkCharismaFrame plus a counter read per
-// frame — the number the zero-alloc gate in scripts/bench.sh checks to
-// prove observability rides along for free.
+// frame; TestObsOffHotPathAllocs holds the same frame path to zero
+// allocations to prove observability rides along for free.
 func BenchmarkObsOffFrame(b *testing.B) {
 	sc := core.DefaultScenario(core.ProtoCharisma)
 	sc.NumVoice, sc.NumData = 60, 10
@@ -756,8 +655,8 @@ func BenchmarkCharismaFrame(b *testing.B) {
 	// Warm up past the transient: the request free list and the
 	// scheduler's candidate scratch reach their high-water marks within
 	// a few talkspurt cycles, after which the frame path is
-	// allocation-free (the zero-alloc gate in scripts/bench.sh measures
-	// exactly this steady state).
+	// allocation-free (TestActiveFrameSteadyStateAllocs and
+	// TestObsOffHotPathAllocs hold this steady state to zero allocations).
 	for f := 0; f < 2000; f++ {
 		sys.BeginFrame()
 		sys.EndFrame(proto.RunFrame(sys))

@@ -192,13 +192,17 @@ func TestBankFuncPerUserParams(t *testing.T) {
 }
 
 // TestBankFrameHotPathAllocs is the channel-plane analogue of the mac
-// registry's frame-allocs guard: advancing a bank, querying amplitudes,
-// and replaying deferred steps must all be allocation-free. CI runs it as
-// a regression gate.
+// registry's frame-allocs guard: advancing a bank, advancing a standalone
+// Fading, querying amplitudes, and replaying deferred steps must all be
+// allocation-free. CI runs it as a regression gate.
 func TestBankFrameHotPathAllocs(t *testing.T) {
 	bank := NewBank(256, DefaultParams(), 1)
 	if n := testing.AllocsPerRun(100, func() { bank.Advance(frameDur) }); n != 0 {
 		t.Fatalf("Bank.Advance allocates %v per frame, want 0", n)
+	}
+	solo := NewFading(DefaultParams(), rng.New(1))
+	if n := testing.AllocsPerRun(100, func() { solo.Advance(frameDur) }); n != 0 {
+		t.Fatalf("Fading.Advance allocates %v per step, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		for u := 0; u < bank.Size(); u++ {

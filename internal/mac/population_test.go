@@ -1,11 +1,12 @@
 package mac_test
 
-// Population-scale tests for the lazy-instantiation path: a million-station
-// cell must fit a hard per-station memory budget, and the idle-wake frame
-// path must stay allocation-free at 10⁵ stations (the property the CI
-// zero-alloc guard pins).
+// Population-scale tests and benchmarks for the lazy-instantiation path:
+// 10⁵- and 10⁶-station cells must fit a hard per-station memory budget
+// (TestMillionStationMemoryBudget), and the idle-wake frame path must stay
+// allocation-free at 10⁵ stations (TestIdleWakeHotPathAllocs).
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -53,25 +54,55 @@ func parkedLazySystem(tb testing.TB, n int) (*mac.System, float64) {
 	return sys, float64(after.HeapAlloc-before.HeapAlloc) / float64(n)
 }
 
-// TestMillionStationMemoryBudget instantiates a 10⁶-station cell and holds
-// the measured resident heap to idleBudgetBytes per station.
+// TestMillionStationMemoryBudget instantiates 10⁵- and 10⁶-station cells
+// and holds the measured resident heap of each to idleBudgetBytes per
+// station. The 10⁵ cell is the tighter case: fixed per-cell costs spread
+// over fewer stations.
 func TestMillionStationMemoryBudget(t *testing.T) {
-	const n = 1_000_000
-	sys, perStation := parkedLazySystem(t, n)
-	t.Logf("%d stations: %.1f B/station resident", n, perStation)
-	if perStation > idleBudgetBytes {
-		t.Fatalf("resident heap %.1f B/station, budget %d", perStation, idleBudgetBytes)
+	for _, n := range []int{100_000, 1_000_000} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			sys, perStation := parkedLazySystem(t, n)
+			t.Logf("%d stations: %.1f B/station resident", n, perStation)
+			if perStation > idleBudgetBytes {
+				t.Fatalf("resident heap %.1f B/station, budget %d", perStation, idleBudgetBytes)
+			}
+			// The cell must also be runnable: a frame over a fully parked
+			// population touches no station state.
+			for f := 0; f < 10; f++ {
+				sys.BeginFrame()
+				sys.EndFrame(sys.FrameDuration())
+			}
+			if err := sys.VerifyRegistry(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.KeepAlive(sys)
+		})
 	}
-	// The cell must also be runnable: a frame over a fully parked million
-	// stations touches no station state.
-	for f := 0; f < 10; f++ {
-		sys.BeginFrame()
-		sys.EndFrame(sys.FrameDuration())
+}
+
+// BenchmarkIdleCellPopulation pins the population-scaling promise of the
+// timer wheel + SoA slab layout: instantiating an idle cell costs O(tens
+// of bytes) per station (B/station metric), and the per-frame cost of
+// running it idle is population-independent — the 10⁶ row must stay within
+// a small constant of the 10⁴ row (ns/frame metric), because a frame
+// touches only the wheel's current granule and the (empty) active buckets,
+// never the parked population.
+func BenchmarkIdleCellPopulation(b *testing.B) {
+	for _, n := range []int{10_000, 100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			sys, perStation := parkedLazySystem(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sys.BeginFrame()
+				sys.EndFrame(sys.FrameDuration())
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/frame")
+			b.ReportMetric(perStation, "B/station")
+			runtime.KeepAlive(sys)
+		})
 	}
-	if err := sys.VerifyRegistry(); err != nil {
-		t.Fatal(err)
-	}
-	runtime.KeepAlive(sys)
 }
 
 // cyclingLazySystem builds an n-station lazy cell where the first nActive
@@ -136,5 +167,25 @@ func TestIdleWakeHotPathAllocs(t *testing.T) {
 	}
 	if err := sys.VerifyRegistry(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkIdleWakeCell measures the steady-state idle-wake cycle at 10⁵
+// stations: 2000 voice stations cycle talkspurt→idle→wheel-wake while the
+// rest stay parked. TestIdleWakeHotPathAllocs holds the same cycle to zero
+// allocations after the same warm-up.
+func BenchmarkIdleWakeCell(b *testing.B) {
+	sys := cyclingLazySystem(b, 100_000, 2000)
+	// Warm-up as in TestIdleWakeHotPathAllocs: past one level-1 wheel
+	// revolution and every source's first long unserved talkspurt.
+	for f := 0; f < 32000; f++ {
+		sys.BeginFrame()
+		sys.EndFrame(sys.FrameDuration())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.BeginFrame()
+		sys.EndFrame(sys.FrameDuration())
 	}
 }
