@@ -330,42 +330,9 @@ func BenchmarkAblationQueueCap(b *testing.B) {
 
 // --- substrate micro-benchmarks --------------------------------------------
 
-func BenchmarkEngineScheduleAndRun(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := sim.NewEngine()
-		for j := 0; j < 1000; j++ {
-			e.Schedule(sim.Time(j%97), func(*sim.Engine) {})
-		}
-		e.Run()
-	}
-}
-
-// BenchmarkEngineSchedule measures the steady-state schedule/fire cycle on
-// one long-lived engine — the regime every simulation run is in after its
-// first frame. The index-arena engine must report 0 allocs/op here; the
-// old container/heap engine paid one event allocation per Schedule.
-func BenchmarkEngineSchedule(b *testing.B) {
-	e := sim.NewEngine()
-	h := func(*sim.Engine) {}
-	// Grow arena and heap to their high-water mark before timing.
-	for j := 0; j < 1000; j++ {
-		e.Schedule(e.Now()+sim.Time(j%97), h)
-	}
-	e.Run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 1000; j++ {
-			e.Schedule(e.Now()+sim.Time(j%97), h)
-		}
-		e.Run()
-	}
-}
-
-// BenchmarkEngineScheduleEvery measures the recurring frame driver: one
-// event slot re-armed per tick, the pattern Scenario.Run uses for the
-// TDMA cadence.
+// BenchmarkEngineScheduleEvery measures the frame clock: one recurring
+// event re-armed per tick, the pattern Scenario.Run uses for the TDMA
+// cadence.
 func BenchmarkEngineScheduleEvery(b *testing.B) {
 	e := sim.NewEngine()
 	b.ReportAllocs()
@@ -380,34 +347,6 @@ func BenchmarkEngineScheduleEvery(b *testing.B) {
 			return 800
 		})
 		e.Run()
-	}
-}
-
-// BenchmarkEngineStepBatch measures the equal-timestamp cohort dispatch
-// in its mass-cohort regime: 256 one-shot events packed onto 2 distinct
-// timestamps, so every StepBatch drains a cohort dominating the heap
-// through the detach-and-reheapify path. Steady state must be
-// allocation-free — the batch and seq-sort scratch live on the engine.
-func BenchmarkEngineStepBatch(b *testing.B) {
-	e := sim.NewEngine()
-	h := func(*sim.Engine) {}
-	fill := func() {
-		for j := 0; j < 256; j++ {
-			e.Schedule(e.Now()+sim.Time(1+j%2), h)
-		}
-	}
-	drain := func() {
-		for e.Pending() > 0 {
-			e.StepBatch()
-		}
-	}
-	fill()
-	drain()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fill()
-		drain()
 	}
 }
 

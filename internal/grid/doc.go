@@ -47,9 +47,10 @@
 // die with the coordinator itself, where context cancellation already
 // unwinds the session.
 //
-// A result arriving under a superseded lease (the task timed out and was
-// re-queued, possibly re-executed) is discarded before it can touch the
-// cache or the point states. Exactly one delivery per (spec, rep-seed)
+// A result arriving without its key's current lease (it echoes none, or
+// a superseded one because the task timed out and was re-queued, possibly
+// re-executed) is discarded before it can touch the cache or the point
+// states. Exactly one delivery per (spec, rep-seed)
 // key ever lands, and JobSpec.RunRep is a deterministic function of the
 // spec and the rep seed, so crash timing, duplicate deliveries, and
 // zombie workers can never change the bytes a sweep produces — a

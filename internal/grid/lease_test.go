@@ -187,45 +187,51 @@ func TestRequeueAvoidsDeadWorker(t *testing.T) {
 	}
 }
 
-// TestZeroLeaseCompleteRetiresLease: a direct completion that echoes no
-// lease (legacy callers) must still retire the key's outstanding lease,
-// or the janitor would re-queue — and a worker re-execute — a task that
-// already finished.
-func TestZeroLeaseCompleteRetiresLease(t *testing.T) {
-	// Two points keep the session — and its expiry janitor — alive after
-	// the first completion.
-	scs := sweepScenarios()[:2]
-	pts := make([]Point, len(scs))
-	for i, sc := range scs {
-		pts[i] = Point{Spec: ScenarioSpec(sc), Replications: 1}
-	}
-	sess, err := NewSession(pts, nil, Precision{})
+// TestLeaselessLieIsDropped: a result must echo its key's current lease
+// to land. A liar claims a task, inflates the result and posts it with
+// the lease echo zeroed; accepted, it would skip the audit (no leased
+// worker to re-execute against) and retire the liar's lease. Instead it
+// is dropped, the liar's lease lapses and re-queues the task, and honest
+// workers finish a sweep byte-identical to the sequential reference.
+func TestLeaselessLieIsDropped(t *testing.T) {
+	// The sweep's data point, so the inflated throughput is non-zero.
+	scs := sweepScenarios()[2:]
+	want, err := run.Sequential(scs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk, ok, _ := sess.TryClaim("w1", 60*time.Millisecond)
+	sess, err := NewSession([]Point{{Spec: ScenarioSpec(scs[0]), Replications: 1}}, nil, Precision{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.EnableAudit(Audit{Frac: 1, Seed: 11})
+	tk, ok, _ := sess.TryClaim("liar", 50*time.Millisecond)
 	if !ok {
-		t.Fatal("no task to claim")
+		t.Fatal("liar got no task")
 	}
 	res, err := tk.Spec.RunRep(tk.Rep)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.DataThroughputPerFrame == 0 {
+		t.Fatal("data point carries no throughput to inflate")
+	}
+	res.DataThroughputPerFrame *= 2
 	if err := sess.Complete(TaskResult{Point: tk.Point, Rep: tk.Rep, Result: res}); err != nil {
 		t.Fatal(err)
 	}
-	if p := sess.Progress(); p.Leases != 0 {
-		t.Fatalf("%d dead leases survive the completion", p.Leases)
-	}
-	time.Sleep(200 * time.Millisecond) // well past the lease deadline
-	if n := sess.Requeues(); n != 0 {
-		t.Fatalf("completed task re-queued %d times by a stale lease", n)
-	}
-	if err := RunLocal(context.Background(), sess, 1); err != nil {
+	if err := RunLocal(context.Background(), sess, 2); err != nil {
 		t.Fatal(err)
 	}
-	if sess.Executed() != 2 {
-		t.Fatalf("executed %d simulations, want 2 (no re-execution)", sess.Executed())
+	got, err := sess.Results()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("lease-less lie landed: sweep differs from sequential reference")
+	}
+	if n := sess.Requeues(); n != 1 {
+		t.Fatalf("requeues = %d, want 1 (the liar's lease lapsing)", n)
 	}
 }
 

@@ -67,10 +67,8 @@ type Task struct {
 
 // TaskResult reports one executed task. Err is a string so the type
 // crosses the wire; an empty Err means Result is valid. Lease echoes the
-// dispatch lease the task was claimed under; zero marks a direct
-// completion that bypassed lease dispatch (legacy callers, tests), which
-// is accepted only while the (point, rep) slot is still awaiting a
-// result.
+// dispatch lease the task was claimed under; Session.Complete drops a
+// result whose lease is missing (zero) or no longer current.
 type TaskResult struct {
 	Point  int
 	Rep    int
@@ -599,9 +597,10 @@ func (s *Session) NextWait(ctx context.Context) (Task, bool) {
 
 // Complete records one executed task's outcome, caches successes, fans the
 // result out to every deduplicated (point, rep) slot, and runs the
-// adaptive controller on points it completed. A result under a superseded
-// lease — the task timed out and was re-queued — is discarded before it
-// can touch the cache or the point states, as are duplicate and stray
+// adaptive controller on points it completed. A result without the
+// key's current lease — it echoes none, or a superseded one because the
+// task timed out and was re-queued — is discarded before it can touch
+// the cache or the point states, as are duplicate and stray
 // deliveries and anything posted by a quarantined worker, so crash timing
 // never changes what a sweep observes.
 //
@@ -620,42 +619,28 @@ func (s *Session) Complete(r TaskResult) error {
 	key := s.repKey(r.Point, r.Rep)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	worker := ""
-	if r.Lease != 0 {
-		l, ok := s.leases[r.Lease]
-		if !ok || l.key != key {
-			// Superseded lease: the task was re-queued (and possibly
-			// re-executed) after this worker was presumed dead — or the
-			// worker was quarantined, which supersedes all its leases. The
-			// late result is dropped without touching anything: exactly one
-			// delivery per key may land.
-			return nil
-		}
-		worker = l.worker
-		delete(s.leases, r.Lease)
-		delete(s.avoid, key)
-		if !l.claimedAt.IsZero() {
-			s.repDur.Observe(time.Since(l.claimedAt).Seconds())
-		}
+	l, ok := s.leases[r.Lease]
+	if !ok || l.key != key {
+		// No current lease for this key: the result carries none (lease
+		// IDs start at 1, so zero never matches), or its lease was
+		// superseded — the task was re-queued (and possibly re-executed)
+		// after this worker was presumed dead, or the worker was
+		// quarantined, which supersedes all its leases. The result is
+		// dropped without touching anything: exactly one delivery per
+		// key may land, and only from the worker the key is leased to.
+		return nil
+	}
+	worker := l.worker
+	delete(s.leases, r.Lease)
+	delete(s.avoid, key)
+	if !l.claimedAt.IsZero() {
+		s.repDur.Observe(time.Since(l.claimedAt).Seconds())
 	}
 	if _, present := s.inflight[key]; !present {
 		// Duplicate or stray delivery: drop it *before* touching the
 		// cache, so an unscheduled (point, rep) can never plant a result
 		// under a key a future sweep would legitimately look up.
 		return nil
-	}
-	if r.Lease == 0 {
-		// Direct completion without a lease echo (legacy callers, tests):
-		// retire the key's outstanding lease too — at most one exists per
-		// key — or the expiry janitor would later re-queue and re-execute
-		// the already-completed task.
-		for id, l := range s.leases {
-			if l.key == key {
-				delete(s.leases, id)
-				break
-			}
-		}
-		delete(s.avoid, key)
 	}
 	var taskErr error
 	if r.Err != "" {

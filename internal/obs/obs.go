@@ -4,7 +4,7 @@
 // It deliberately contains two very different kinds of primitive:
 //
 //   - SimCounters: plain uint64 fields embedded by value inside
-//     single-goroutine components (the event engine, a cell's MAC
+//     single-goroutine components (the frame clock, a cell's MAC
 //     system, a fading plane). Incrementing one is a register add — no
 //     atomics, no branches, no allocations — so the counters are
 //     compiled in permanently without disturbing the hot-path
@@ -40,11 +40,8 @@ import (
 // live block from another goroutine is racy by design — snapshot at a
 // quiescent point (between replications, or after Run returns).
 type SimCounters struct {
-	// Event engine.
-	EngineEvents      uint64 // events fired (mirrors Engine.Executed)
-	EngineBatches     uint64 // StepBatch calls that dispatched a cohort
-	EngineBatchDetach uint64 // cohort drains that took the detach tier
-	EngineSoloLane    uint64 // solo-lane activations (single recurring event)
+	// Frame clock.
+	EngineEvents uint64 // events fired (mirrors Engine.Executed, which Reset zeroes)
 
 	// Registry timer wheel.
 	WheelArms     uint64 // timers armed (wheel.add)
@@ -70,9 +67,6 @@ type SimCounters struct {
 // keeps this in sync with the struct definition by reflection.
 func (c *SimCounters) Add(o *SimCounters) {
 	c.EngineEvents += o.EngineEvents
-	c.EngineBatches += o.EngineBatches
-	c.EngineBatchDetach += o.EngineBatchDetach
-	c.EngineSoloLane += o.EngineSoloLane
 	c.WheelArms += o.WheelArms
 	c.WheelCascades += o.WheelCascades
 	c.WheelWakes += o.WheelWakes

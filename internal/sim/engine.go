@@ -2,68 +2,28 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 
 	"charisma/internal/obs"
 )
 
-// Handler is a callback executed when an event fires. It receives the
-// engine so it can schedule follow-up events.
-type Handler func(e *Engine)
-
-// StepFunc drives a recurring event scheduled with ScheduleEvery. After
+// StepFunc drives the recurring event scheduled with ScheduleEvery. After
 // each firing it returns the delay until the next firing; a negative
 // delay stops the recurrence. Variable-length cadences (e.g. RMAV's
 // variable frames) simply return a different delay each time.
 type StepFunc func(e *Engine) Time
 
-// node is one scheduled event stored by value in the engine's arena.
-// seq breaks ties so that events scheduled earlier at the same timestamp
-// run first (stable FIFO order), which keeps simulations deterministic.
-// gen invalidates stale EventIDs when a slot is recycled via the free
-// list.
-type node struct {
-	at      Time
-	seq     uint64
-	gen     uint32
-	pos     int32 // position in the heap, -1 when not queued
-	handler Handler
-	every   StepFunc
-}
-
-// EventID identifies a scheduled event so it can be cancelled. The zero
-// EventID is invalid and never cancels anything.
-type EventID struct {
-	idx int32 // arena index + 1, so the zero EventID matches no node
-	gen uint32
-}
-
-// Engine is a deterministic discrete-event simulation executive.
+// Engine is the frame clock: it fires one recurring event, the TDMA
+// frame tick, until the step stops it. Every access decision in the
+// paper's MACs happens on a frame boundary and station wakes live on the
+// MAC's own timer wheel, so a run never needs a second pending event.
 // The zero value is ready to use.
-//
-// Events live by value in an arena slice recycled through a free list,
-// and the ready queue is a 4-ary min-heap of arena indices ordered by
-// (time, seq). Scheduling therefore performs no per-event allocation in
-// steady state: once the arena has grown to the high-water mark of
-// simultaneously pending events, Schedule/Step cycles are allocation
-// free (the 4-ary layout also halves sift depth versus a binary heap,
-// which is where a discrete-event hot loop spends its time).
 type Engine struct {
 	now      Time
-	seq      uint64
+	next     Time // firing time of the pending recurrence
 	executed uint64
-	nodes    []node  // arena of event slots
-	heap     []int32 // indices into nodes, min-heap on (at, seq)
-	free     []int32 // recycled arena slots
-	batch    []int32 // scratch: arena indices of one timestamp's cohort
-	stack    []int32 // scratch: DFS stack of heap positions
-	byseq    func(a, b int32) int
+	step     StepFunc // nil when no recurrence is pending
 	ctr      obs.SimCounters
 }
-
-// maxTime is the largest representable timestamp; Run uses it as the
-// "no limit" horizon for the solo fast lane.
-const maxTime = Time(1<<63 - 1)
 
 // NewEngine returns an engine with the clock at zero.
 func NewEngine() *Engine { return &Engine{} }
@@ -74,492 +34,50 @@ func (e *Engine) Now() Time { return e.now }
 // Executed reports how many events have fired so far.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Pending reports how many events are scheduled and not yet fired.
-func (e *Engine) Pending() int { return len(e.heap) }
-
-// Obs returns the engine's dispatch counters. EngineEvents mirrors
-// Executed and is synchronized here at read time, so the hot paths never
-// maintain a duplicate count. The counters are cumulative across Reset
-// (a pooled arena reports totals over every replication it hosted) and
-// must only be read from the goroutine driving the engine, or after it
-// has quiesced.
+// Obs returns the engine's counters. EngineEvents mirrors Executed and is
+// synchronized here at read time, so the frame loop never maintains a
+// duplicate count. It must only be read from the goroutine driving the
+// engine, or after it has quiesced.
 func (e *Engine) Obs() *obs.SimCounters {
 	e.ctr.EngineEvents = e.executed
 	return &e.ctr
 }
 
-func (e *Engine) alloc() int32 {
-	if n := len(e.free); n > 0 {
-		idx := e.free[n-1]
-		e.free = e.free[:n-1]
-		return idx
-	}
-	e.nodes = append(e.nodes, node{pos: -1})
-	return int32(len(e.nodes) - 1)
-}
-
-// release returns a fired or cancelled slot to the free list. Bumping gen
-// invalidates every EventID handed out for the slot's previous life.
-func (e *Engine) release(idx int32) {
-	nd := &e.nodes[idx]
-	nd.handler = nil
-	nd.every = nil
-	nd.gen++
-	nd.pos = -1
-	e.free = append(e.free, idx)
-}
-
-func (e *Engine) less(a, b int32) bool {
-	na, nb := &e.nodes[a], &e.nodes[b]
-	if na.at != nb.at {
-		return na.at < nb.at
-	}
-	return na.seq < nb.seq
-}
-
-func (e *Engine) push(idx int32) {
-	e.heap = append(e.heap, idx)
-	e.siftUp(len(e.heap) - 1)
-}
-
-func (e *Engine) siftUp(i int) {
-	idx := e.heap[i]
-	for i > 0 {
-		p := (i - 1) / 4
-		if !e.less(idx, e.heap[p]) {
-			break
-		}
-		e.heap[i] = e.heap[p]
-		e.nodes[e.heap[i]].pos = int32(i)
-		i = p
-	}
-	e.heap[i] = idx
-	e.nodes[idx].pos = int32(i)
-}
-
-func (e *Engine) siftDown(i int) {
-	n := len(e.heap)
-	idx := e.heap[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if e.less(e.heap[c], e.heap[best]) {
-				best = c
-			}
-		}
-		if !e.less(e.heap[best], idx) {
-			break
-		}
-		e.heap[i] = e.heap[best]
-		e.nodes[e.heap[i]].pos = int32(i)
-		i = best
-	}
-	e.heap[i] = idx
-	e.nodes[idx].pos = int32(i)
-}
-
-// removeAt detaches the heap entry at position pos and returns its arena
-// index.
-func (e *Engine) removeAt(pos int32) int32 {
-	idx := e.heap[pos]
-	e.nodes[idx].pos = -1
-	last := int32(len(e.heap) - 1)
-	if pos != last {
-		e.heap[pos] = e.heap[last]
-		e.nodes[e.heap[pos]].pos = pos
-	}
-	e.heap = e.heap[:last]
-	if pos < last {
-		e.siftDown(int(pos))
-		e.siftUp(int(pos))
-	}
-	return idx
-}
-
-func (e *Engine) insert(at Time, h Handler, every StepFunc) EventID {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: Schedule at %v before now %v", at, e.now))
-	}
-	idx := e.alloc()
-	nd := &e.nodes[idx]
-	nd.at = at
-	nd.seq = e.seq
-	e.seq++
-	nd.handler = h
-	nd.every = every
-	e.push(idx)
-	return EventID{idx: idx + 1, gen: nd.gen}
-}
-
-// Schedule registers h to run at absolute time at. Scheduling in the past
-// (before Now) is a programming error and panics: allowing it would silently
-// reorder causality.
-func (e *Engine) Schedule(at Time, h Handler) EventID {
-	if h == nil {
-		panic("sim: Schedule called with nil handler")
-	}
-	return e.insert(at, h, nil)
-}
-
-// ScheduleAfter registers h to run delay ticks from now.
-func (e *Engine) ScheduleAfter(delay Time, h Handler) EventID {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: ScheduleAfter with negative delay %d", delay))
-	}
-	return e.Schedule(e.now+delay, h)
-}
-
-// ScheduleEvery registers a recurring event that first fires at absolute
+// ScheduleEvery registers the recurring event: it first fires at absolute
 // time start and thereafter re-fires after whatever delay step returns,
-// until step returns a negative delay. The recurrence reuses one event
-// slot for its whole lifetime — a frame driver ticking millions of frames
-// performs zero allocations and needs no per-frame closure re-scheduling.
-// The returned EventID cancels the whole recurrence (from outside the
-// step function; to stop from within, return a negative delay).
-func (e *Engine) ScheduleEvery(start Time, step StepFunc) EventID {
+// until step returns a negative delay. A nil step, a start before Now
+// (which would reorder causality) and a second recurrence while one is
+// pending are programming errors and panic.
+func (e *Engine) ScheduleEvery(start Time, step StepFunc) {
 	if step == nil {
 		panic("sim: ScheduleEvery called with nil step")
 	}
-	return e.insert(start, nil, step)
+	if start < e.now {
+		panic(fmt.Sprintf("sim: ScheduleEvery at %v before now %v", start, e.now))
+	}
+	if e.step != nil {
+		panic("sim: ScheduleEvery while a recurrence is pending")
+	}
+	e.next, e.step = start, step
 }
 
-// Cancel removes a scheduled event or recurrence. Cancelling an
-// already-fired or already-cancelled event is a no-op. It reports whether
-// the event was still pending.
-func (e *Engine) Cancel(id EventID) bool {
-	if id.idx <= 0 || int(id.idx) > len(e.nodes) {
-		return false
-	}
-	idx := id.idx - 1
-	nd := &e.nodes[idx]
-	if nd.gen != id.gen || nd.pos == -1 {
-		return false
-	}
-	if nd.pos == -2 {
-		// Detached into the current StepBatch cohort but not yet fired:
-		// still pending from the caller's point of view. Releasing bumps
-		// gen, which the batch drain reads as "cancelled — skip".
-		e.release(idx)
-		return true
-	}
-	e.removeAt(nd.pos)
-	e.release(idx)
-	return true
-}
-
-// Step fires the single earliest pending event. It reports false when the
-// queue is empty.
-func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
-		return false
-	}
-	idx := e.heap[0]
-	if nd := &e.nodes[idx]; nd.every != nil {
-		// Fast path: a recurring event at the root — the common case when
-		// a single frame driver ticks a long run — fires in place. The
-		// pop/re-push pair (two full sifts per frame) collapses to one
-		// in-place key update and downward sift, which is O(1) when the
-		// driver is the only due event.
-		at := nd.at
-		if at < e.now {
-			panic("sim: event queue time went backwards")
-		}
-		e.now = at
+// Run fires the pending recurrence until its step returns a negative
+// delay. The clock stays at the last firing.
+func (e *Engine) Run() {
+	for e.step != nil {
+		e.now = e.next
 		e.executed++
-		gen := nd.gen
-		delay := nd.every(e)
-		// The callback may have grown the arena; re-resolve the slot. The
-		// root cannot have been displaced meanwhile: events pushed by the
-		// callback are not earlier than (at, seq) of the root, and a
-		// removal's sift-up stops at the heap minimum — so only the
-		// recurrence cancelling itself (gen bump) invalidates the slot.
-		nd = &e.nodes[idx]
-		if nd.gen != gen {
-			return true
-		}
+		delay := e.step(e)
 		if delay < 0 {
-			e.removeAt(nd.pos)
-			e.release(idx)
-			return true
-		}
-		nd.at = e.now + delay
-		nd.seq = e.seq
-		e.seq++
-		e.siftDown(int(nd.pos))
-		return true
-	}
-	idx = e.removeAt(0)
-	at := e.nodes[idx].at
-	if at < e.now {
-		panic("sim: event queue time went backwards")
-	}
-	e.now = at
-	e.executed++
-	h := e.nodes[idx].handler
-	e.release(idx)
-	h(e)
-	return true
-}
-
-// collectBatch gathers into e.batch the arena indices of every pending
-// event stamped exactly t. By the heap property an at==t node can only
-// have at==t ancestors (t is the minimum), so a DFS from the root that
-// prunes any position with a later timestamp visits the full cohort
-// without scanning the rest of the heap.
-func (e *Engine) collectBatch(t Time) {
-	e.batch = e.batch[:0]
-	e.stack = append(e.stack[:0], 0)
-	for len(e.stack) > 0 {
-		i := int(e.stack[len(e.stack)-1])
-		e.stack = e.stack[:len(e.stack)-1]
-		e.batch = append(e.batch, e.heap[i])
-		first := 4*i + 1
-		end := first + 4
-		if end > len(e.heap) {
-			end = len(e.heap)
-		}
-		for c := first; c < end; c++ {
-			if e.nodes[e.heap[c]].at == t {
-				e.stack = append(e.stack, int32(c))
-			}
-		}
-	}
-}
-
-// detachBatch removes every collected cohort member from the heap in one
-// compact-and-reheapify pass and marks it pos == -2 ("detached, firing
-// soon") so Cancel can still find it. The caller only detaches when the
-// cohort is a sizable fraction of the heap, where the single O(n)
-// rebuild beats the k individual sifts a one-at-a-time drain would pay.
-func (e *Engine) detachBatch() {
-	for _, idx := range e.batch {
-		e.nodes[idx].pos = -2
-	}
-	live := e.heap[:0]
-	for _, idx := range e.heap {
-		if e.nodes[idx].pos != -2 {
-			e.nodes[idx].pos = int32(len(live))
-			live = append(live, idx)
-		}
-	}
-	e.heap = live
-	if n := len(e.heap); n > 1 {
-		for i := (n - 2) / 4; i >= 0; i-- {
-			e.siftDown(i)
-		}
-	}
-}
-
-// drainDetached fires every event of the already-collected cohort, in
-// scheduling (seq) order, and reports how many fired. Handlers run after
-// the whole cohort is detached, so one detached event cancelling another
-// is honoured (the victim is skipped) and a handler scheduling a new
-// event at t cannot splice into the already-collected cohort — the
-// caller re-collects.
-func (e *Engine) drainDetached(t Time) int {
-	e.detachBatch()
-	if e.byseq == nil {
-		e.byseq = func(a, b int32) int {
-			sa, sb := e.nodes[a].seq, e.nodes[b].seq
-			switch {
-			case sa < sb:
-				return -1
-			case sa > sb:
-				return 1
-			}
-			return 0
-		}
-	}
-	slices.SortFunc(e.batch, e.byseq)
-	e.now = t
-	e.ctr.EngineBatchDetach++
-	fired := 0
-	for _, idx := range e.batch {
-		nd := &e.nodes[idx]
-		if nd.pos != -2 {
-			// Cancelled (or cancelled and the slot already reused) by an
-			// earlier handler in this cohort.
-			continue
-		}
-		e.executed++
-		fired++
-		if nd.every != nil {
-			gen := nd.gen
-			delay := nd.every(e)
-			nd = &e.nodes[idx] // the callback may have grown the arena
-			if nd.gen != gen {
-				continue
-			}
-			if delay < 0 {
-				e.release(idx)
-				continue
-			}
-			nd.at = e.now + delay
-			nd.seq = e.seq
-			e.seq++
-			nd.pos = -1
-			e.push(idx)
-			continue
-		}
-		h := nd.handler
-		e.release(idx)
-		h(e)
-	}
-	return fired
-}
-
-// StepBatch fires every event sharing the earliest pending timestamp and
-// reports how many fired (0 when the queue is empty). Execution order is
-// exactly Step's (time, seq) FIFO order: the cohort is drained in seq
-// order, handlers that schedule new events at the same timestamp see
-// them fire after the current cohort (they carry later seqs), and
-// cancelling a co-timestamped event from within the batch prevents it
-// from firing.
-//
-// The drain is tiered by cohort size, every tier order-equivalent:
-// single events and small cohorts pop one at a time through Step's
-// in-place paths (the same sifts a detach would pay, without any
-// collect or sort on top); a cohort that outlives the probe and
-// dominates the heap is detached in one compact-and-reheapify pass —
-// one O(n) restructure instead of one full sift per event — and fired
-// from the seq-sorted batch.
-func (e *Engine) StepBatch() int {
-	if len(e.heap) == 0 {
-		return 0
-	}
-	t := e.nodes[e.heap[0]].at
-	if t < e.now {
-		panic("sim: event queue time went backwards")
-	}
-	// Probe by draining a few events through Step's in-place paths: small
-	// cohorts (the scattered-timestamp regime) never pay any cohort
-	// machinery at all. Only a cohort that outlives the probe is sized up
-	// — once — for the detach path.
-	const probe = 16
-	fired := 0
-	for len(e.heap) > 0 && e.nodes[e.heap[0]].at == t {
-		e.Step()
-		fired++
-		if fired == probe {
-			for len(e.heap) > 0 && e.nodes[e.heap[0]].at == t {
-				e.collectBatch(t)
-				if len(e.batch)*4 < len(e.heap) {
-					break
-				}
-				fired += e.drainDetached(t)
-			}
-		}
-	}
-	if fired > 0 {
-		e.ctr.EngineBatches++
-	}
-	return fired
-}
-
-// runSolo is the calendar-style near-horizon fast lane: while the queue
-// holds exactly one recurring event — the frame-driver steady state of
-// every scenario run — fire it in a tight loop with zero heap
-// maintenance (a one-element heap needs no sift at all). It returns true
-// when the driver's next firing would pass limit (driver stays queued),
-// false when the lane ended for any other reason: the driver stopped, or
-// a callback scheduled additional events.
-func (e *Engine) runSolo(limit Time) bool {
-	e.ctr.EngineSoloLane++
-	idx := e.heap[0]
-	nd := &e.nodes[idx]
-	for {
-		at := nd.at
-		if at > limit {
-			return true
-		}
-		if at < e.now {
-			panic("sim: event queue time went backwards")
-		}
-		e.now = at
-		e.executed++
-		gen := nd.gen
-		delay := nd.every(e)
-		nd = &e.nodes[idx] // the callback may have grown the arena
-		if nd.gen != gen {
-			return false
-		}
-		if delay < 0 {
-			e.removeAt(nd.pos)
-			e.release(idx)
-			return false
-		}
-		nd.at = e.now + delay
-		nd.seq = e.seq
-		e.seq++
-		if len(e.heap) != 1 {
-			e.siftDown(int(nd.pos))
-			return false
-		}
-	}
-}
-
-// RunUntil fires events in order until the clock would pass limit or the
-// queue drains. Events scheduled exactly at limit do fire.
-func (e *Engine) RunUntil(limit Time) {
-	for len(e.heap) > 0 {
-		// Peek without popping so an over-the-limit event stays queued.
-		if e.nodes[e.heap[0]].at > limit {
-			e.now = limit
+			e.step = nil
 			return
 		}
-		if len(e.heap) == 1 && e.nodes[e.heap[0]].every != nil {
-			if e.runSolo(limit) {
-				e.now = limit
-				return
-			}
-			continue
-		}
-		e.StepBatch()
-	}
-	if e.now < limit {
-		e.now = limit
+		e.next = e.now + delay
 	}
 }
 
-// Run drains the queue completely.
-func (e *Engine) Run() {
-	for len(e.heap) > 0 {
-		if len(e.heap) == 1 && e.nodes[e.heap[0]].every != nil {
-			e.runSolo(maxTime)
-			continue
-		}
-		e.StepBatch()
-	}
-}
-
-// Reset rewinds the engine to its zero state while keeping the arena,
-// heap, and scratch capacity — the replication-arena path rebuilds a
-// scenario's event population with zero engine allocations. Every slot's
-// generation is bumped, so EventIDs issued before the reset no longer
-// cancel anything.
+// Reset rewinds the engine to its zero state and drops any pending
+// recurrence, so the replication arena reuses one engine across runs.
 func (e *Engine) Reset() {
-	e.now, e.seq, e.executed = 0, 0, 0
-	for i := range e.nodes {
-		nd := &e.nodes[i]
-		nd.handler = nil
-		nd.every = nil
-		nd.gen++
-		nd.pos = -1
-	}
-	e.heap = e.heap[:0]
-	// Refill the free list highest-index first so a reset engine hands out
-	// slots in the same 0,1,2,… order as a fresh one.
-	e.free = e.free[:0]
-	for i := len(e.nodes) - 1; i >= 0; i-- {
-		e.free = append(e.free, int32(i))
-	}
-	e.batch, e.stack = e.batch[:0], e.stack[:0]
+	e.now, e.next, e.executed, e.step = 0, 0, 0, nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -33,164 +34,6 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
-func TestEngineRunsInTimeOrder(t *testing.T) {
-	e := NewEngine()
-	var order []Time
-	for _, at := range []Time{50, 10, 30, 20, 40} {
-		at := at
-		e.Schedule(at, func(*Engine) { order = append(order, at) })
-	}
-	e.Run()
-	for i := 1; i < len(order); i++ {
-		if order[i-1] > order[i] {
-			t.Fatalf("events out of order: %v", order)
-		}
-	}
-	if len(order) != 5 {
-		t.Fatalf("executed %d events, want 5", len(order))
-	}
-	if e.Now() != 50 {
-		t.Fatalf("clock = %v, want 50", e.Now())
-	}
-}
-
-func TestEngineStableFIFOAtSameTime(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	for i := 0; i < 100; i++ {
-		i := i
-		e.Schedule(10, func(*Engine) { order = append(order, i) })
-	}
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-time events not FIFO: order[%d] = %d", i, v)
-		}
-	}
-}
-
-func TestEngineScheduleFromHandler(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	var step Handler
-	step = func(eng *Engine) {
-		count++
-		if count < 10 {
-			eng.ScheduleAfter(5, step)
-		}
-	}
-	e.Schedule(0, step)
-	e.Run()
-	if count != 10 {
-		t.Fatalf("chained steps = %d, want 10", count)
-	}
-	if e.Now() != 45 {
-		t.Fatalf("clock = %v, want 45", e.Now())
-	}
-}
-
-func TestEngineSchedulePastPanics(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(10, func(*Engine) {})
-	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past did not panic")
-		}
-	}()
-	e.Schedule(5, func(*Engine) {})
-}
-
-func TestEngineNilHandlerPanics(t *testing.T) {
-	e := NewEngine()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("nil handler did not panic")
-		}
-	}()
-	e.Schedule(0, nil)
-}
-
-func TestEngineNegativeDelayPanics(t *testing.T) {
-	e := NewEngine()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative delay did not panic")
-		}
-	}()
-	e.ScheduleAfter(-1, func(*Engine) {})
-}
-
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	id := e.Schedule(10, func(*Engine) { fired = true })
-	if !e.Cancel(id) {
-		t.Fatal("Cancel returned false for a pending event")
-	}
-	if e.Cancel(id) {
-		t.Fatal("double Cancel returned true")
-	}
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
-func TestEngineCancelAfterFire(t *testing.T) {
-	e := NewEngine()
-	id := e.Schedule(10, func(*Engine) {})
-	e.Run()
-	if e.Cancel(id) {
-		t.Fatal("Cancel after fire returned true")
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	for _, at := range []Time{10, 20, 30, 40} {
-		at := at
-		e.Schedule(at, func(*Engine) { fired = append(fired, at) })
-	}
-	e.RunUntil(25)
-	if len(fired) != 2 {
-		t.Fatalf("RunUntil(25) fired %d events, want 2", len(fired))
-	}
-	if e.Now() != 25 {
-		t.Fatalf("clock = %v, want 25", e.Now())
-	}
-	e.RunUntil(40) // inclusive boundary
-	if len(fired) != 4 {
-		t.Fatalf("RunUntil(40) fired %d total events, want 4", len(fired))
-	}
-}
-
-func TestEngineRunUntilEmptyAdvancesClock(t *testing.T) {
-	e := NewEngine()
-	e.RunUntil(1000)
-	if e.Now() != 1000 {
-		t.Fatalf("clock = %v, want 1000", e.Now())
-	}
-}
-
-func TestEnginePendingAndExecuted(t *testing.T) {
-	e := NewEngine()
-	id := e.Schedule(1, func(*Engine) {})
-	e.Schedule(2, func(*Engine) {})
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
-	}
-	e.Cancel(id)
-	if e.Pending() != 1 {
-		t.Fatalf("Pending after cancel = %d, want 1", e.Pending())
-	}
-	e.Run()
-	if e.Executed() != 1 {
-		t.Fatalf("Executed = %d, want 1", e.Executed())
-	}
-}
-
 func TestScheduleEveryFixedPeriod(t *testing.T) {
 	e := NewEngine()
 	var fires []Time
@@ -210,9 +53,6 @@ func TestScheduleEveryFixedPeriod(t *testing.T) {
 		if fires[i] != at {
 			t.Fatalf("firing %d at %v, want %v", i, fires[i], at)
 		}
-	}
-	if e.Pending() != 0 {
-		t.Fatalf("stopped recurrence left %d pending events", e.Pending())
 	}
 }
 
@@ -243,168 +83,146 @@ func TestScheduleEveryVariablePeriod(t *testing.T) {
 	}
 }
 
-func TestScheduleEveryCancelFromOutside(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	id := e.ScheduleEvery(0, func(*Engine) Time {
-		count++
-		return 10
-	})
-	e.Schedule(25, func(eng *Engine) {
-		if !eng.Cancel(id) {
-			t.Error("Cancel of a live recurrence returned false")
+// mustPanic fails the test unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
 		}
-	})
-	e.Run()
-	if count != 3 { // fires at 0, 10, 20; cancelled at 25
-		t.Fatalf("recurrence fired %d times, want 3", count)
-	}
+	}()
+	f()
 }
 
-func TestScheduleEveryInterleavesWithOneShots(t *testing.T) {
+func TestEngineNilStepPanics(t *testing.T) {
+	mustPanic(t, "nil step", func() { NewEngine().ScheduleEvery(0, nil) })
+}
+
+func TestEngineSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	var order []string
+	e.ScheduleEvery(10, func(*Engine) Time { return -1 })
+	e.Run()
+	mustPanic(t, "start before now", func() {
+		e.ScheduleEvery(5, func(*Engine) Time { return -1 })
+	})
+}
+
+// The frame clock holds one recurrence: a second ScheduleEvery, from
+// outside or from within the running step, is a programming error.
+func TestEngineSecondRecurrencePanics(t *testing.T) {
+	stop := func(*Engine) Time { return -1 }
+	e := NewEngine()
+	e.ScheduleEvery(0, stop)
+	mustPanic(t, "second ScheduleEvery while pending", func() { e.ScheduleEvery(0, stop) })
+
+	e = NewEngine()
 	e.ScheduleEvery(0, func(eng *Engine) Time {
-		order = append(order, "tick")
-		if eng.Now() >= 20 {
-			return -1
-		}
-		return 10
+		eng.ScheduleEvery(eng.Now(), stop)
+		return -1
 	})
-	e.Schedule(10, func(*Engine) { order = append(order, "shot") })
-	e.Run()
-	// The tick re-armed at 10 gets a later seq than the one-shot that was
-	// scheduled first, so FIFO puts the one-shot ahead of it.
-	want := []string{"tick", "shot", "tick", "tick"}
-	if len(order) != len(want) {
-		t.Fatalf("order %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order %v, want %v", order, want)
-		}
-	}
+	mustPanic(t, "ScheduleEvery from within the step", e.Run)
 }
 
-// A recycled event slot must not honour EventIDs from its previous life.
-func TestStaleEventIDAfterSlotReuse(t *testing.T) {
-	e := NewEngine()
-	id1 := e.Schedule(1, func(*Engine) {})
-	e.Run()
-	id2 := e.Schedule(2, func(*Engine) {}) // reuses the freed slot
-	if e.Cancel(id1) {
-		t.Fatal("stale EventID cancelled a recycled slot")
-	}
-	if !e.Cancel(id2) {
-		t.Fatal("fresh EventID failed to cancel")
-	}
-}
-
-func TestZeroEventIDInvalid(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(1, func(*Engine) {})
-	if e.Cancel(EventID{}) {
-		t.Fatal("zero EventID cancelled something")
-	}
-}
-
-// Steady-state scheduling must not allocate: the arena and free list
-// absorb every schedule/fire cycle once grown.
-func TestEngineSteadyStateAllocationFree(t *testing.T) {
-	e := NewEngine()
-	h := func(*Engine) {}
-	// Warm up the arena and heap to their high-water marks.
-	for j := 0; j < 64; j++ {
-		e.Schedule(e.Now()+Time(j%7), h)
-	}
-	e.Run()
-	allocs := testing.AllocsPerRun(100, func() {
-		for j := 0; j < 64; j++ {
-			e.Schedule(e.Now()+Time(j%7), h)
-		}
+// Reset must leave the engine equivalent to a fresh one: the same firing
+// times, clock and count, whether the previous recurrence ran to its end
+// or was still pending.
+func TestEngineResetBehavesLikeFresh(t *testing.T) {
+	script := func(e *Engine) []Time {
+		delays := []Time{800, 0, 1200, 800}
+		var fires []Time
+		e.ScheduleEvery(e.Now()+3, func(eng *Engine) Time {
+			fires = append(fires, eng.Now())
+			if len(fires) > len(delays) {
+				return -1
+			}
+			return delays[len(fires)-1]
+		})
 		e.Run()
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state schedule/run allocates %v per cycle, want 0", allocs)
+		return fires
 	}
-}
+	fresh := script(NewEngine())
 
-func TestEngineCancelMiddleOfLargeHeap(t *testing.T) {
 	e := NewEngine()
-	ids := make([]EventID, 0, 100)
-	fired := make(map[Time]bool)
-	for i := 0; i < 100; i++ {
-		at := Time(i)
-		ids = append(ids, e.Schedule(at, func(*Engine) { fired[at] = true }))
+	script(e)
+	e.ScheduleEvery(e.Now()+50, func(*Engine) Time { return -1 }) // left pending
+	e.Reset()
+	if e.Now() != 0 || e.Executed() != 0 {
+		t.Fatalf("post-Reset state: now=%v executed=%d", e.Now(), e.Executed())
 	}
-	for i := 0; i < 100; i += 3 {
-		if !e.Cancel(ids[i]) {
-			t.Fatalf("Cancel(%d) failed", i)
-		}
+	if reused := script(e); !reflect.DeepEqual(fresh, reused) {
+		t.Fatalf("reset engine fired at %v, fresh engine at %v", reused, fresh)
 	}
-	e.Run()
-	for i := 0; i < 100; i++ {
-		want := i%3 != 0
-		if fired[Time(i)] != want {
-			t.Fatalf("event %d fired=%v, want %v", i, fired[Time(i)], want)
-		}
+	if e.Now() != fresh[len(fresh)-1] || e.Executed() != uint64(len(fresh)) {
+		t.Fatalf("reset engine ends at now=%v executed=%d, want %v and %d",
+			e.Now(), e.Executed(), fresh[len(fresh)-1], len(fresh))
 	}
 }
 
-// Property: for any random schedule, events fire in non-decreasing time
-// order and every non-cancelled event fires exactly once.
-func TestEngineOrderingProperty(t *testing.T) {
+// Property: under random variable delays (zero included) the clock never
+// runs backwards, each firing lands exactly its delay after the previous
+// one, and the run ends at the last firing.
+func TestEngineClockMonotoneProperty(t *testing.T) {
 	prop := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		e := NewEngine()
-		total := int(n%64) + 1
+		firings := int(n%100) + 1
+		want, prev := Time(0), Time(0)
 		fired := 0
-		last := Time(-1)
 		ok := true
-		for i := 0; i < total; i++ {
-			at := Time(r.Intn(1000))
-			e.Schedule(at, func(*Engine) {
-				fired++
-				if at < last {
-					ok = false
-				}
-				last = at
-			})
-		}
+		e.ScheduleEvery(0, func(eng *Engine) Time {
+			if eng.Now() < prev || eng.Now() != want {
+				ok = false
+			}
+			prev = eng.Now()
+			if fired++; fired == firings {
+				return -1
+			}
+			d := Time(r.Intn(10))
+			want += d
+			return d
+		})
 		e.Run()
-		return ok && fired == total
+		return ok && e.Now() == want && e.Executed() == uint64(firings)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: interleaving Step and Schedule preserves causality (the clock
-// never runs backwards).
-func TestEngineClockMonotoneProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		e := NewEngine()
-		var step Handler
-		remaining := 100
-		step = func(eng *Engine) {
-			if remaining == 0 {
-				return
-			}
-			remaining--
-			eng.ScheduleAfter(Time(r.Intn(10)), step)
+// EngineEvents, the count perfbench reads, must mirror Executed.
+func TestEngineObsMirrorsExecuted(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	e.ScheduleEvery(0, func(*Engine) Time {
+		if n++; n == 7 {
+			return -1
 		}
-		e.Schedule(0, step)
-		prev := Time(0)
-		for e.Step() {
-			if e.Now() < prev {
-				return false
-			}
-			prev = e.Now()
-		}
-		return true
+		return 800
+	})
+	e.Run()
+	if got := e.Obs().EngineEvents; got != e.Executed() || got != 7 {
+		t.Fatalf("Obs().EngineEvents = %d, Executed = %d, want both 7", got, e.Executed())
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
+}
+
+// A ScheduleEvery+Run cycle with a prebuilt step must not allocate: the
+// frame loop of every replication runs exactly this.
+func TestEngineSteadyStateAllocationFree(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	step := StepFunc(func(*Engine) Time {
+		if n++; n == 64 {
+			return -1
+		}
+		return 800
+	})
+	cycle := func() {
+		n = 0
+		e.ScheduleEvery(e.Now(), step)
+		e.Run()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs > 0 {
+		t.Fatalf("ScheduleEvery+Run allocates %v per cycle, want 0", allocs)
 	}
 }

@@ -1,12 +1,11 @@
-// Package sim provides a minimal deterministic discrete-event simulation
-// engine: an integer simulated clock, an allocation-free 4-ary-heap event
-// queue with stable FIFO ordering among simultaneous events, a recurring
-// frame driver (ScheduleEvery), and a run loop.
+// Package sim provides the simulation clock: an integer simulated time
+// and a frame clock (Engine) that fires one recurring event, the TDMA
+// frame tick, whose step returns the delay to the next frame.
 //
 // The whole reproduction is clocked in modulation symbols of the 320 kHz
 // TDMA air interface described in the paper (Table 1): one tick is one
 // symbol, i.e. 3.125 µs. Using an integer tick avoids floating-point clock
-// drift over multi-minute simulated runs and makes event ordering exact.
+// drift over multi-minute simulated runs and keeps frame timestamps exact.
 package sim
 
 import "fmt"
