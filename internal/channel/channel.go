@@ -297,7 +297,9 @@ func (b *Bank) Classes() int { return len(b.pl.classes) }
 // stable for the life of the bank.
 func (b *Bank) User(i int) *Fading { return &b.pl.views[i] }
 
-// Advance steps every user's channel by dt in one batch over the plane.
+// Advance steps every user's channel by dt. Simulations advance each view
+// lazily instead; this eager sweep is the reference that replay is
+// checked against.
 func (b *Bank) Advance(dt sim.Time) { b.pl.advanceAll(dt) }
 
 // Obs returns the bank's plane-level lazy-replay counters. Read only

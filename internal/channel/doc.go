@@ -19,8 +19,10 @@
 // (see plane.go): a Fading value is a thin per-user view over the plane, so
 // the public API — and, critically, each user's private draw order, hence
 // every result byte — is unchanged from the original scalar implementation
-// while advancement is one batch loop and amplitude conversions are
-// memoized per step.
+// while step coefficients are memoized per parameter class and amplitude
+// conversions per user per step. Simulations advance each view lazily;
+// Bank.Advance, the eager sweep over every user, is the reference that
+// lazy replay is checked against.
 //
 // # Draw-order contract
 //

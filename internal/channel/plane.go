@@ -2,8 +2,7 @@ package channel
 
 // This file implements the structure-of-arrays fading plane: the backing
 // store every Fading value is a view into. The per-user state of the §4.2
-// two-component model lives in parallel slices advanced by one tight batch
-// loop, with
+// two-component model lives in parallel slices, with
 //
 //   - AR(1) step coefficients computed once per (dt, parameter class) for
 //     the whole plane instead of being re-derived (and their √(1−ρ²)
@@ -153,10 +152,24 @@ func (pl *plane) initUser(i int, p Params, stream *rng.Stream) {
 	pl.views[i] = Fading{plane: pl, idx: int32(i)}
 }
 
-// stepUser advances one user by a step whose coefficients the caller
-// already resolved. The arithmetic is kept textually identical to the
-// scalar implementation (byte-identity contract).
-func (pl *plane) stepUser(i int, rhoS, innovS, rhoL, innovL, mean float64) {
+// advanceAll steps every user by dt — Bank.Advance, the eager reference
+// the MAC's lazy per-view replay is checked against.
+func (pl *plane) advanceAll(dt sim.Time) {
+	for i := range pl.gRe {
+		pl.advanceUser(i, dt)
+	}
+}
+
+// advanceUser steps a single user by dt (the per-view Advance). The
+// arithmetic is kept textually identical to the scalar implementation
+// (byte-identity contract).
+func (pl *plane) advanceUser(i int, dt sim.Time) {
+	if dt < 0 {
+		panic("channel: negative time step")
+	}
+	c := &pl.classes[pl.classOf[i]]
+	rhoS, innovS, rhoL, innovL := c.coeffs(dt)
+	mean := c.p.ShadowMeanDB
 	// Carry a memoized amplitude into the delayed-estimate cache: the
 	// pre-step amplitude is exactly the amplitude of the current state.
 	if pl.ampStep[i] == pl.step[i] {
@@ -171,56 +184,6 @@ func (pl *plane) stepUser(i int, rhoS, innovS, rhoL, innovL, mean float64) {
 	w := s.Normal(0, 1)
 	pl.shadowDB[i] = mean + rhoL*(pl.shadowDB[i]-mean) + innovL*w
 	pl.step[i]++
-}
-
-// advanceAll steps every user by dt — the Bank.Advance batch loop. The
-// single-class fast path (every bank except the mixed-speed experiment)
-// hoists the state slices into locals resliced to a common length, so the
-// loop body runs bounds-check-free with the coefficients in registers.
-func (pl *plane) advanceAll(dt sim.Time) {
-	if dt < 0 {
-		panic("channel: negative time step")
-	}
-	if len(pl.classes) != 1 {
-		for i := range pl.gRe {
-			c := &pl.classes[pl.classOf[i]]
-			rhoS, innovS, rhoL, innovL := c.coeffs(dt)
-			pl.stepUser(i, rhoS, innovS, rhoL, innovL, c.p.ShadowMeanDB)
-		}
-		return
-	}
-	rhoS, innovS, rhoL, innovL := pl.classes[0].coeffs(dt)
-	mean := pl.classes[0].p.ShadowMeanDB
-	n := len(pl.gRe)
-	gRe, gIm, sh := pl.gRe[:n], pl.gIm[:n], pl.shadowDB[:n]
-	pgRe, pgIm, psh := pl.prevGRe[:n], pl.prevGIm[:n], pl.prevShadowDB[:n]
-	step, ampStep := pl.step[:n], pl.ampStep[:n]
-	amp, prevAmp, prevStep := pl.amp[:n], pl.prevAmp[:n], pl.prevStep[:n]
-	streams := pl.streams[:n]
-	for i := 0; i < n; i++ {
-		if ampStep[i] == step[i] {
-			prevAmp[i] = amp[i]
-			prevStep[i] = step[i] + 1
-		}
-		pgRe[i], pgIm[i], psh[i] = gRe[i], gIm[i], sh[i]
-		s := streams[i]
-		wRe, wIm := s.ComplexGaussian()
-		gRe[i] = rhoS*gRe[i] + innovS*wRe
-		gIm[i] = rhoS*gIm[i] + innovS*wIm
-		w := s.Normal(0, 1)
-		sh[i] = mean + rhoL*(sh[i]-mean) + innovL*w
-		step[i]++
-	}
-}
-
-// advanceUser steps a single user by dt (the per-view Advance).
-func (pl *plane) advanceUser(i int, dt sim.Time) {
-	if dt < 0 {
-		panic("channel: negative time step")
-	}
-	c := &pl.classes[pl.classOf[i]]
-	rhoS, innovS, rhoL, innovL := c.coeffs(dt)
-	pl.stepUser(i, rhoS, innovS, rhoL, innovL, c.p.ShadowMeanDB)
 }
 
 // advanceUserSteps replays n equal deferred steps for one user — the MAC's

@@ -14,9 +14,9 @@
 // deterministic, their assignment under concurrency is not.)
 //
 // The package sits strictly above internal/grid: grid exposes neutral
-// hooks (Worker.Client, Worker.CorruptResult, DiskCache.EntryPath) and
-// knows nothing about chaos. Production binaries arm it only behind
-// explicit -chaos-seed / -chaos-rates flags.
+// hooks (Worker.Client, Worker.CorruptResult) and knows nothing about
+// chaos; cache corruption walks the cache directory itself. Production
+// binaries arm it only behind explicit -chaos-seed / -chaos-rates flags.
 package chaos
 
 import (
@@ -204,9 +204,6 @@ func NewPlan(seed int64, rates Rates) *Plan {
 		cache:  sub("cache"),
 	}
 }
-
-// Rates returns the armed rates.
-func (p *Plan) Rates() Rates { return p.rates }
 
 // Counts returns a snapshot of the faults injected so far.
 func (p *Plan) Counts() Counts {

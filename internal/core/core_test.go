@@ -97,7 +97,7 @@ func TestBuildWiresStations(t *testing.T) {
 			t.Fatalf("station %d has no channel", i)
 		}
 	}
-	if !sys.PHY.Adaptive() {
+	if sys.PHY.Name() != "abicm" {
 		t.Fatal("CHARISMA built on fixed PHY")
 	}
 }

@@ -150,8 +150,11 @@ func TestABICMCurvesMonotoneStaircase(t *testing.T) {
 			t.Fatal("BER out of range")
 		}
 	}
-	if !pts[0].InOutage {
-		t.Fatal("lowest CSI not in outage")
+	if !pts[0].InOutage || pts[0].Eta != 0 {
+		t.Fatalf("lowest CSI: outage=%v eta=%v, want outage at eta 0", pts[0].InOutage, pts[0].Eta)
+	}
+	if prev != 5 {
+		t.Fatalf("max throughput = %v, want 5 (Fig. 7b)", prev)
 	}
 }
 

@@ -133,8 +133,3 @@ func (g Geometry) Validate() error {
 	}
 	return nil
 }
-
-// VoicePeriodFrames returns the voice packet interval in whole frames (8).
-func (g Geometry) VoicePeriodFrames() int {
-	return int(g.VoicePeriod / g.Duration())
-}

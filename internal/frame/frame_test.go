@@ -88,8 +88,8 @@ func TestRMAVFrameDuration(t *testing.T) {
 
 func TestVoicePeriodIsEightFrames(t *testing.T) {
 	g := Default()
-	if g.VoicePeriodFrames() != 8 {
-		t.Fatalf("voice period = %d frames, want 8 (20 ms / 2.5 ms)", g.VoicePeriodFrames())
+	if g.VoicePeriod != 8*g.Duration() {
+		t.Fatalf("voice period = %v, want 8 frames of %v (20 ms / 2.5 ms)", g.VoicePeriod, g.Duration())
 	}
 }
 

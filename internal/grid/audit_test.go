@@ -53,7 +53,7 @@ func TestAuditCatchesLyingWorker(t *testing.T) {
 	if n := sess.Quarantines(); n != 1 {
 		t.Fatalf("quarantines = %d, want 1", n)
 	}
-	if _, failed := sess.Audits(); failed != 1 {
+	if failed := sess.Progress().AuditsFailed; failed != 1 {
 		t.Fatalf("failed audits = %d, want 1", failed)
 	}
 	got, err := sess.Results()
@@ -223,7 +223,8 @@ func TestAuditedRemoteSweepByteIdentical(t *testing.T) {
 			t.Fatalf("worker %d: %v", i, werr)
 		}
 	}
-	passed, failed := sess.Audits()
+	pr := sess.Progress()
+	passed, failed := pr.AuditsPassed, pr.AuditsFailed
 	if failed != 0 || sess.Quarantines() != 0 {
 		t.Fatalf("honest sweep: %d failed audits, %d quarantines", failed, sess.Quarantines())
 	}

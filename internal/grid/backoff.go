@@ -25,9 +25,9 @@ type Backoff struct {
 }
 
 // NewBackoff returns a backoff starting at base, capped at cap, with its
-// jitter stream derived from seed. base must be positive; cap below base
-// means no cap beyond base's exponential growth limit (cap = base forces
-// a constant jittered delay).
+// jitter stream derived from seed. A non-positive base defaults to
+// 100 ms, and a cap below base is raised to base, which forces a constant
+// jittered delay.
 func NewBackoff(base, cap time.Duration, seed int64) *Backoff {
 	if base <= 0 {
 		base = 100 * time.Millisecond
@@ -59,7 +59,3 @@ func (b *Backoff) Next() time.Duration {
 // Reset rewinds the schedule after a success, so the next failure starts
 // from Base again.
 func (b *Backoff) Reset() { b.attempt = 0 }
-
-// Attempt reports how many delays have been handed out since the last
-// Reset.
-func (b *Backoff) Attempt() int { return b.attempt }

@@ -135,10 +135,8 @@ func entrySum(body []byte) string {
 	return fmt.Sprintf("%08x", crc32.Checksum(body, crcTable))
 }
 
-// diskState carries the optional mutable half of a DiskCache: degradation
-// and quarantine counters shared by every copy of the value. A zero
-// DiskCache (literal construction) has none and simply skips counting and
-// degradation.
+// diskState carries the mutable half of a DiskCache: degradation and
+// quarantine counters shared by every copy of the value.
 type diskState struct {
 	corrupt   atomic.Uint64
 	putErrs   atomic.Uint64
@@ -161,11 +159,10 @@ const diskDisableAfter = 3
 // post-mortem and counted in CacheStats — instead of being re-read (and
 // re-missed, or worse, silently served wrong) on every future run.
 //
-// When constructed via NewDiskCache, the cache degrades gracefully if its
-// directory stops accepting writes (volume remounted read-only, quota
-// hit): after a few consecutive write failures it logs once, stops
-// writing, and keeps serving reads — the memory tier above it carries the
-// session onward.
+// The cache degrades gracefully if its directory stops accepting writes
+// (volume remounted read-only, quota hit): after a few consecutive write
+// failures it logs once, stops writing, and keeps serving reads — the
+// memory tier above it carries the session onward.
 type DiskCache struct {
 	Dir string
 
@@ -178,11 +175,6 @@ type DiskCache struct {
 func NewDiskCache(dir string, log *slog.Logger) DiskCache {
 	return DiskCache{Dir: dir, s: &diskState{log: log}}
 }
-
-// EntryPath returns where key's entry lives on disk, for tools that
-// inspect or perturb the cache from outside (the chaos fault injector).
-// ok is false for keys the cache would refuse.
-func (c DiskCache) EntryPath(key string) (string, bool) { return c.path(key) }
 
 func (c DiskCache) path(key string) (string, bool) {
 	// Keys are hex hashes; refuse anything that could walk the tree.
@@ -223,23 +215,18 @@ func (c DiskCache) quarantine(p, key string) {
 		// Can't rename (read-only dir): best effort, the entry stays a miss.
 		_ = err
 	}
-	if c.s != nil {
-		c.s.corrupt.Add(1)
-		if c.s.log != nil {
-			c.s.log.Warn("corrupt cache entry quarantined", "key", key, "path", p+" -> "+key+".corrupt")
-		}
+	c.s.corrupt.Add(1)
+	if c.s.log != nil {
+		c.s.log.Warn("corrupt cache entry quarantined", "key", key, "path", p+" -> "+key+".corrupt")
 	}
 }
 
 // Put implements Cache.
 func (c DiskCache) Put(key string, r mac.Result) {
-	if c.s != nil && c.s.disabled.Load() {
+	if c.s.disabled.Load() {
 		return
 	}
 	err := c.put(key, r)
-	if c.s == nil {
-		return
-	}
 	if err == nil {
 		c.s.consecPut.Store(0)
 		return
@@ -302,9 +289,6 @@ func (c DiskCache) Delete(key string) {
 // Stats implements StatsReporter with the disk-side counters; the tiered
 // wrapper above fills in hit/miss traffic.
 func (c DiskCache) Stats() CacheStats {
-	if c.s == nil {
-		return CacheStats{}
-	}
 	return CacheStats{DiskCorrupt: c.s.corrupt.Load(), DiskPutErrors: c.s.putErrs.Load()}
 }
 

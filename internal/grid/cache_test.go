@@ -27,7 +27,7 @@ func realResult(t *testing.T) mac.Result {
 }
 
 func TestDiskCacheRoundTripExact(t *testing.T) {
-	c := DiskCache{Dir: t.TempDir()}
+	c := NewDiskCache(t.TempDir(), nil)
 	r := realResult(t)
 	key := RepKey("deadbeef", 42)
 	if _, ok := c.Get(key); ok {
@@ -41,11 +41,14 @@ func TestDiskCacheRoundTripExact(t *testing.T) {
 	if !reflect.DeepEqual(r, got) {
 		t.Fatalf("disk round trip not exact:\n%+v\n%+v", r, got)
 	}
+	if s := c.Stats(); s.DiskCorrupt != 0 || s.DiskPutErrors != 0 {
+		t.Fatalf("clean round trip counted faults: %+v", s)
+	}
 }
 
 func TestDiskCacheCorruptEntryIsMiss(t *testing.T) {
 	dir := t.TempDir()
-	c := DiskCache{Dir: dir}
+	c := NewDiskCache(dir, nil)
 	key := RepKey("deadbeef", 1)
 	c.Put(key, mac.Result{Protocol: "x"})
 	p := filepath.Join(dir, key[:2], key+".json")
@@ -55,20 +58,28 @@ func TestDiskCacheCorruptEntryIsMiss(t *testing.T) {
 	if _, ok := c.Get(key); ok {
 		t.Fatal("corrupt entry served as hit")
 	}
+	if s := c.Stats(); s.DiskCorrupt != 1 || s.DiskPutErrors != 0 {
+		t.Fatalf("truncated entry: %+v, want DiskCorrupt 1 and no put errors", s)
+	}
 }
 
 func TestDiskCacheRejectsUnsafeKeys(t *testing.T) {
-	c := DiskCache{Dir: t.TempDir()}
+	c := NewDiskCache(t.TempDir(), nil)
 	for _, key := range []string{"", "ab", "../../etc/passwd", "a/b"} {
 		c.Put(key, mac.Result{})
 		if _, ok := c.Get(key); ok {
 			t.Fatalf("unsafe key %q round-tripped", key)
 		}
 	}
+	// A refused key is not a disk failure: it must neither count nor
+	// push the tier toward read-only degradation.
+	if s := c.Stats(); s.DiskCorrupt != 0 || s.DiskPutErrors != 0 {
+		t.Fatalf("refused keys counted as faults: %+v", s)
+	}
 }
 
 func TestTieredPromotesDiskHits(t *testing.T) {
-	disk := DiskCache{Dir: t.TempDir()}
+	disk := NewDiskCache(t.TempDir(), nil)
 	key := RepKey("cafe00", 3)
 	want := mac.Result{Protocol: "y", Frames: 12.5}
 	disk.Put(key, want)
@@ -80,6 +91,9 @@ func TestTieredPromotesDiskHits(t *testing.T) {
 	}
 	if _, ok := mem.Get(key); !ok {
 		t.Fatal("disk hit not promoted to memory")
+	}
+	if s := c.(StatsReporter).Stats(); s.DiskHits != 1 || s.DiskCorrupt != 0 || s.DiskPutErrors != 0 {
+		t.Fatalf("tiered stats = %+v, want one disk hit and no faults", s)
 	}
 }
 
@@ -101,7 +115,7 @@ func TestDiskCacheQuarantinesCorruptEntry(t *testing.T) {
 	c := NewDiskCache(dir, nil)
 	key := RepKey("deadbeef", 1)
 	c.Put(key, realResult(t))
-	p, _ := c.EntryPath(key)
+	p, _ := c.path(key)
 	b, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +161,7 @@ func TestDiskCacheChecksumCatchesSilentCorruption(t *testing.T) {
 	c := NewDiskCache(dir, nil)
 	key := RepKey("cafebabe", 2)
 	c.Put(key, realResult(t))
-	p, _ := c.EntryPath(key)
+	p, _ := c.path(key)
 	b, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +199,7 @@ func TestDiskCacheLegacyEntryQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	c := NewDiskCache(dir, nil)
 	key := RepKey("0ddba11", 3)
-	p, _ := c.EntryPath(key)
+	p, _ := c.path(key)
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		t.Fatal(err)
 	}

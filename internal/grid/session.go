@@ -753,15 +753,6 @@ func (s *Session) Quarantines() int {
 	return s.quarantines
 }
 
-// Audits returns how many audited results were verified byte-identical
-// and how many diverged (each divergence quarantined a worker or
-// re-confirmed one already barred).
-func (s *Session) Audits() (passed, failed int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.auditsPassed, s.auditsFailed
-}
-
 // Serial returns the process-wide session serial number.
 func (s *Session) Serial() int64 { return s.serial }
 

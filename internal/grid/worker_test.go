@@ -228,7 +228,7 @@ func TestWorkerLiesCaughtOverHTTP(t *testing.T) {
 	if err := <-liarDone; err != nil {
 		t.Fatalf("liar worker: %v", err)
 	}
-	if _, failed := sess.Audits(); failed < 1 {
+	if failed := sess.Progress().AuditsFailed; failed < 1 {
 		t.Fatalf("failed audits = %d, want >= 1", failed)
 	}
 }

@@ -36,7 +36,7 @@ func TestName(t *testing.T) {
 
 func TestUsesFixedPHY(t *testing.T) {
 	sys, _ := build(t, 1, 0, false)
-	if sys.PHY.Adaptive() {
+	if sys.PHY.Name() != "fixed" {
 		t.Fatal("DRMA must run on the fixed PHY")
 	}
 }

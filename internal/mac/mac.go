@@ -319,8 +319,8 @@ type System struct {
 
 	// DebugVoiceTx, when non-nil, observes every voice transmission
 	// (station, mode, scheduler-side amplitude estimate, estimate age,
-	// outcome counts). Used by calibration diagnostics and tests; nil in
-	// production runs.
+	// outcome counts). A test hook: CHARISMA's selection-diversity test
+	// reads the scheduled modes through it; nil in production runs.
 	DebugVoiceTx func(st *Station, m phy.Mode, estAmp float64, estAge sim.Time, ok, errs int)
 
 	// DebugEndFrame, when non-nil, observes every completed frame with

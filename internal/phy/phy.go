@@ -57,14 +57,6 @@ type Mode struct {
 // mode (0 for the half-rate mode).
 func (m Mode) PacketsPerSlot() int { return m.HalfPacketsPerSlot / 2 }
 
-// SlotsPerPacket returns how many slots one packet needs in this mode.
-func (m Mode) SlotsPerPacket() int {
-	if m.HalfPacketsPerSlot >= 2 {
-		return 1
-	}
-	return 2
-}
-
 // String renders a short mode descriptor.
 func (m Mode) String() string {
 	return fmt.Sprintf("mode%d(η=%.1f,θ=%.1fdB)", m.Index, m.Eta, mathx.LinearToDB(m.SNRThreshold))
@@ -140,8 +132,6 @@ func (p Params) Validate() error {
 type PHY interface {
 	// Name identifies the modem ("abicm" or "fixed").
 	Name() string
-	// Adaptive reports whether the modem adapts its mode to CSI.
-	Adaptive() bool
 	// Modes lists the operating points, most robust first.
 	Modes() []Mode
 	// MeanSNR returns the configured linear average SNR Γ̄.
@@ -255,17 +245,11 @@ func NewAdaptive(p Params) *Adaptive {
 // Name implements PHY.
 func (a *Adaptive) Name() string { return "abicm" }
 
-// Adaptive implements PHY.
-func (a *Adaptive) Adaptive() bool { return true }
-
 // Modes implements PHY.
 func (a *Adaptive) Modes() []Mode { return a.modes }
 
 // MeanSNR implements PHY.
 func (a *Adaptive) MeanSNR() float64 { return a.meanSNR }
-
-// Params returns the modem configuration.
-func (a *Adaptive) Params() Params { return a.p }
 
 // ModeForSNR returns the highest mode whose threshold the linear SNR meets,
 // or the most robust mode (and outage=true) below the adaptation range.
@@ -313,16 +297,6 @@ func (a *Adaptive) PacketErrorProb(m Mode, actualAmp float64) float64 {
 // BER implements PHY.
 func (a *Adaptive) BER(m Mode, snr float64) float64 { return berOf(m, snr) }
 
-// ThroughputForAmplitude returns the normalized throughput η the modem
-// would realize at a given amplitude — the Fig. 7b staircase.
-func (a *Adaptive) ThroughputForAmplitude(amp float64) float64 {
-	m, outage := a.ModeForSNR(amp * amp * a.meanSNR)
-	if outage {
-		return 0
-	}
-	return m.Eta
-}
-
 // MeanThroughputRayleigh returns E[η] under unit-mean Rayleigh fading at
 // mean SNR Γ̄ — the calibration quantity behind the "twice the average
 // offered throughput" claim. Computed in closed form from the exponential
@@ -345,7 +319,6 @@ func (a *Adaptive) MeanThroughputRayleigh() float64 {
 // protocols: one packet per slot regardless of channel state, with a large
 // static FEC margin.
 type Fixed struct {
-	p       Params
 	mode    Mode
 	modes   []Mode // cached single-element view; Modes is on the frame hot path
 	meanSNR float64
@@ -360,7 +333,6 @@ func NewFixed(p Params) *Fixed {
 		panic(fmt.Errorf("phy: target BER %v out of (0, 0.5)", p.TargetBER))
 	}
 	f := &Fixed{
-		p:       p,
 		mode:    buildMode(0, 1, p.FixedThresholdDB, p.TargetBER),
 		meanSNR: mathx.DBToLinear(p.MeanSNRdB),
 	}
@@ -372,9 +344,6 @@ func NewFixed(p Params) *Fixed {
 
 // Name implements PHY.
 func (f *Fixed) Name() string { return "fixed" }
-
-// Adaptive implements PHY.
-func (f *Fixed) Adaptive() bool { return false }
 
 // Modes implements PHY.
 func (f *Fixed) Modes() []Mode { return f.modes }

@@ -74,11 +74,11 @@ func TestHalfPacketsPerSlot(t *testing.T) {
 func TestSlotsPerPacketAndPacketsPerSlot(t *testing.T) {
 	a := NewAdaptive(DefaultParams())
 	m0 := a.Modes()[0]
-	if m0.SlotsPerPacket() != 2 || m0.PacketsPerSlot() != 0 {
+	if m0.PacketsPerSlot() != 0 {
 		t.Fatal("half-rate mode slot accounting wrong")
 	}
 	m3 := a.Modes()[3]
-	if m3.SlotsPerPacket() != 1 || m3.PacketsPerSlot() != 3 {
+	if m3.PacketsPerSlot() != 3 {
 		t.Fatal("mode 3 slot accounting wrong")
 	}
 }
@@ -141,17 +141,18 @@ func TestCSIMarginConservatism(t *testing.T) {
 }
 
 func TestBERWaterfall(t *testing.T) {
-	a := NewAdaptive(DefaultParams())
+	p := DefaultParams()
+	a := NewAdaptive(p)
 	for _, m := range a.Modes() {
 		// At the adaptation threshold, the target BER is met exactly.
-		if got := a.BER(m, m.SNRThreshold); math.Abs(got-a.Params().TargetBER)/a.Params().TargetBER > 1e-9 {
-			t.Fatalf("mode %d BER at threshold = %v, want %v", m.Index, got, a.Params().TargetBER)
+		if got := a.BER(m, m.SNRThreshold); math.Abs(got-p.TargetBER)/p.TargetBER > 1e-9 {
+			t.Fatalf("mode %d BER at threshold = %v, want %v", m.Index, got, p.TargetBER)
 		}
 		// Above threshold: better. Below: worse (constant-BER operation).
-		if a.BER(m, m.SNRThreshold*2) >= a.Params().TargetBER {
+		if a.BER(m, m.SNRThreshold*2) >= p.TargetBER {
 			t.Fatalf("mode %d BER did not improve above threshold", m.Index)
 		}
-		if a.BER(m, m.SNRThreshold/2) <= a.Params().TargetBER {
+		if a.BER(m, m.SNRThreshold/2) <= p.TargetBER {
 			t.Fatalf("mode %d BER did not degrade below threshold", m.Index)
 		}
 		if a.BER(m, 0) != 0.5 {
@@ -198,14 +199,23 @@ func TestPacketErrorAtThresholdIsSmall(t *testing.T) {
 	}
 }
 
+// The normalized throughput realized at a given amplitude — the Fig. 7b
+// staircase — is 0 in outage and the selected mode's η otherwise.
 func TestThroughputStaircase(t *testing.T) {
 	a := NewAdaptive(DefaultParams())
-	if got := a.ThroughputForAmplitude(0.001); got != 0 {
+	etaAt := func(amp float64) float64 {
+		m, outage := a.ModeForSNR(amp * amp * a.MeanSNR())
+		if outage {
+			return 0
+		}
+		return m.Eta
+	}
+	if got := etaAt(0.001); got != 0 {
 		t.Fatalf("outage throughput = %v, want 0", got)
 	}
 	prev := -1.0
 	for amp := 0.01; amp < 10; amp *= 1.1 {
-		eta := a.ThroughputForAmplitude(amp)
+		eta := etaAt(amp)
 		if eta < prev {
 			t.Fatal("throughput staircase not monotone (Fig. 7b)")
 		}
@@ -250,9 +260,6 @@ func TestFixedErrorFloorCalibration(t *testing.T) {
 
 func TestFixedPHYBasics(t *testing.T) {
 	f := NewFixed(DefaultParams())
-	if f.Adaptive() {
-		t.Fatal("fixed PHY claims to be adaptive")
-	}
 	if len(f.Modes()) != 1 {
 		t.Fatal("fixed PHY should have exactly one mode")
 	}
@@ -274,7 +281,7 @@ func TestFixedPHYBasics(t *testing.T) {
 
 func TestAdaptiveAccessors(t *testing.T) {
 	a := NewAdaptive(DefaultParams())
-	if a.Name() != "abicm" || !a.Adaptive() {
+	if a.Name() != "abicm" {
 		t.Fatal("adaptive accessors wrong")
 	}
 	if got := a.MeanSNR(); math.Abs(got-mathx.DBToLinear(DefaultParams().MeanSNRdB)) > 1e-9 {

@@ -153,12 +153,6 @@ func (s *Stream) ComplexGaussian() (re, im float64) {
 	return s.r.NormFloat64() * invSqrt2, s.r.NormFloat64() * invSqrt2
 }
 
-// Rayleigh returns a Rayleigh-distributed amplitude with E[c^2] = 1.
-func (s *Stream) Rayleigh() float64 {
-	re, im := s.ComplexGaussian()
-	return math.Hypot(re, im)
-}
-
 // ExpPositiveInt returns a positive integer whose mean is approximately
 // `mean`, drawn by rounding an exponential sample up to at least 1. Used
 // for the data burst length (exponential, mean 100 packets, and a burst is

@@ -1,17 +1,4 @@
-package trace
-
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"sync"
-
-	"charisma/internal/mac"
-	"charisma/internal/prof"
-	"charisma/internal/sim"
-)
-
-// This file implements the flight recorder: a fixed-size ring buffer of
+// Package trace is the flight recorder: a fixed-size ring buffer of
 // frame-level MAC events kept alive while a run is in progress and
 // dumped as JSONL only when something goes wrong — a panic in the frame
 // loop, a SIGQUIT from the operator, or a sweep point whose CI95 blew
@@ -24,6 +11,18 @@ import (
 // Flight onto each System it drives when armed). Recording costs one
 // DebugEndFrame callback and a handful of counter subtractions per
 // frame; when disarmed the only cost anywhere is the hook's nil check.
+package trace
+
+import (
+	"encoding/json"
+	"fmt"
+	"os"
+	"sync"
+
+	"charisma/internal/mac"
+	"charisma/internal/prof"
+	"charisma/internal/sim"
+)
 
 // FrameEvent is one frame's activity, as deltas of the cumulative MAC
 // metrics over that frame.

@@ -150,6 +150,23 @@ func TestFlightCloseDetaches(t *testing.T) {
 	runFrames(sys, proto, 10) // must not panic or record
 }
 
+// TestRecordingDoesNotPerturbResults: the flight recorder only reads
+// the MAC's counters, so an armed run must produce the same result bytes
+// as an unrecorded one.
+func TestRecordingDoesNotPerturbResults(t *testing.T) {
+	run := func(attach bool) mac.Result {
+		sys, proto := buildCell(t, 25)
+		if attach {
+			defer trace.AttachFlight(sys, 64, "perturb-test").Close()
+		}
+		runFrames(sys, proto, 2000)
+		return sys.M.Result("charisma", sys.Cfg.Geometry.FrameSymbols)
+	}
+	if run(true) != run(false) {
+		t.Fatal("flight recording changed simulation results")
+	}
+}
+
 // TestSIGQUITDumpsFlightJSONL re-executes the test binary, lets the
 // helper arm the recorder and raise SIGQUIT against itself, and checks
 // the process exits with the dump-handler status and leaves a parseable

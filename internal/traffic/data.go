@@ -77,9 +77,6 @@ func (d *DataSource) Reset(p DataParams, stream *rng.Stream, now sim.Time) {
 	d.nextArrival = now + sim.FromSeconds(stream.Exp(p.MeanInterarrivalSec))
 }
 
-// Params returns the source configuration.
-func (d *DataSource) Params() DataParams { return d.p }
-
 // Advance realizes all bursts scheduled up to and including now, returning
 // the number of packets that arrived.
 func (d *DataSource) Advance(now sim.Time) int {

@@ -114,9 +114,6 @@ func (v *VoiceSource) Reset(p VoiceParams, stream *rng.Stream, now sim.Time) {
 	}
 }
 
-// Params returns the source configuration.
-func (v *VoiceSource) Params() VoiceParams { return v.p }
-
 // Talking reports whether the source is currently in a talkspurt.
 func (v *VoiceSource) Talking() bool { return v.talking }
 
