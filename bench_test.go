@@ -491,11 +491,22 @@ func BenchmarkMulticellSharded(b *testing.B) {
 // high-water marks for minutes of simulated time, ever more rarely. So the
 // warm-up runs 90 simulated seconds and the mean is taken over 60 more,
 // where that growth stays near 0.5 allocations per simulated second.
+// Every protocol runs at 60v+10d; CHARISMA also runs at 160 voice users,
+// where its candidate pool, ranking keys and request queue are large.
 func TestActiveFrameSteadyStateAllocs(t *testing.T) {
+	type leg struct {
+		proto  string
+		nv, nd int
+	}
+	var legs []leg
 	for _, p := range core.Protocols() {
+		legs = append(legs, leg{p, 60, 10})
+	}
+	legs = append(legs, leg{core.ProtoCharisma, 160, 0})
+	for _, l := range legs {
 		for _, q := range []bool{false, true} {
-			sc := core.DefaultScenario(p)
-			sc.NumVoice, sc.NumData = 60, 10
+			sc := core.DefaultScenario(l.proto)
+			sc.NumVoice, sc.NumData = l.nv, l.nd
 			sc.UseQueue = q
 			sys, proto, err := sc.Build()
 			if err != nil {
@@ -511,7 +522,7 @@ func TestActiveFrameSteadyStateAllocs(t *testing.T) {
 			simulate(90 * sim.Second)
 			avg := testing.AllocsPerRun(60, func() { simulate(sim.Second) })
 			if avg != 0 {
-				t.Errorf("%s queue=%v: %.0f allocs per simulated second at steady state, want 0", p, q, avg)
+				t.Errorf("%s %dv+%dd queue=%v: %.0f allocs per simulated second at steady state, want 0", l.proto, l.nv, l.nd, q, avg)
 			}
 		}
 	}
@@ -583,28 +594,36 @@ func BenchmarkObsOffFrame(b *testing.B) {
 	obsBenchSink = sink
 }
 
+// BenchmarkCharismaFrame times one CHARISMA frame at two loads: the
+// mixed 60v+10d cell the other frame benchmarks use, and a 160-voice
+// cell whose frames gather, rank and poll far more candidates.
 func BenchmarkCharismaFrame(b *testing.B) {
-	sc := core.DefaultScenario(core.ProtoCharisma)
-	sc.NumVoice, sc.NumData = 60, 10
-	sys, proto, err := sc.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	proto.Init(sys)
-	// Warm up past the transient: the request free list and the
-	// scheduler's candidate scratch reach their high-water marks within
-	// a few talkspurt cycles, after which the frame path is
-	// allocation-free (TestActiveFrameSteadyStateAllocs and
-	// TestObsOffHotPathAllocs hold this steady state to zero allocations).
-	for f := 0; f < 2000; f++ {
-		sys.BeginFrame()
-		sys.EndFrame(proto.RunFrame(sys))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.BeginFrame()
-		sys.EndFrame(proto.RunFrame(sys))
+	for _, l := range []struct{ nv, nd int }{{60, 10}, {160, 0}} {
+		b.Run(fmt.Sprintf("%dv+%dd", l.nv, l.nd), func(b *testing.B) {
+			sc := core.DefaultScenario(core.ProtoCharisma)
+			sc.NumVoice, sc.NumData = l.nv, l.nd
+			sys, proto, err := sc.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			proto.Init(sys)
+			// Warm up past the transient: the request free list and the
+			// scheduler's candidate scratch reach their high-water marks
+			// within a few talkspurt cycles, after which the frame path is
+			// allocation-free (TestActiveFrameSteadyStateAllocs and
+			// TestObsOffHotPathAllocs hold this steady state to zero
+			// allocations).
+			for f := 0; f < 2000; f++ {
+				sys.BeginFrame()
+				sys.EndFrame(proto.RunFrame(sys))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sys.BeginFrame()
+				sys.EndFrame(proto.RunFrame(sys))
+			}
+		})
 	}
 }
 

@@ -52,11 +52,11 @@ type Protocol struct {
 	avgEta []float64
 	// cands is the per-minislot contention candidate scratch.
 	cands []*mac.Station
-	// pool and stale are the per-frame candidate scratch, reused across
-	// frames so the gather/allocate cycle stops allocating once they
-	// reach their high-water marks.
-	pool  []candidate
-	stale []*candidate
+	// pool and keys are the per-frame candidate and ranking scratch,
+	// reused across frames so the gather/allocate cycle stops allocating
+	// once they reach their high-water marks.
+	pool []candidate
+	keys []rankKey
 	// powV and powD memoize the eq. (2) urgency/patience powers λ^x. The
 	// exponents are frame-quantized deadline and waiting distances, so a
 	// few dozen distinct values dominate a run; the panel profiles show
@@ -166,9 +166,68 @@ func (p *Protocol) observeEta(s *mac.System, id int, eta float64) {
 type candidate struct {
 	r        *mac.Request
 	reserved bool // BS-generated reservation request (not queueable)
-	prio     float64
-	mode     phy.Mode
-	outage   bool
+	// ranked marks a priority computed by pollCSI and still valid: the
+	// estimate was not refreshed, and nothing else eq. (2) reads changes
+	// before the allocation pass.
+	ranked bool
+	prio   float64
+	mode   phy.Mode
+	outage bool
+}
+
+// rankKey is a candidate's sort key: the candidates stay in place in the
+// pool while these 16-byte keys are sorted, and idx points back at one.
+// Station IDs and pool indices fit int32: a cell of 2³¹ stations would
+// need over 100 GB at its 64 B/station resident budget.
+type rankKey struct {
+	prio float64
+	id   int32
+	idx  int32
+}
+
+// compareKeys orders keys by priority, highest first, then by station ID.
+// The pool never holds two candidates for one station (the reservation
+// scan skips stations with a queued request, and pooled stations do not
+// contend), so this is a strict total order: any sort of the keys yields
+// the unique order a stable sort of the candidates would.
+func compareKeys(a, b rankKey) int {
+	if a.prio != b.prio {
+		return cmp.Compare(b.prio, a.prio)
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// appendKey appends pool[i]'s key to keys.
+func appendKey(keys []rankKey, pool []candidate, i int) []rankKey {
+	return append(keys, rankKey{prio: pool[i].prio, id: int32(pool[i].r.St.ID), idx: int32(i)})
+}
+
+// rank returns the keys of every pool candidate in rank order, reusing
+// keys' storage. The candidates' priorities must be computed.
+func rank(keys []rankKey, pool []candidate) []rankKey {
+	keys = keys[:0]
+	for i := range pool {
+		keys = appendKey(keys, pool, i)
+	}
+	slices.SortFunc(keys, compareKeys)
+	return keys
+}
+
+// selectTop moves the n best keys, in rank order, to the front of keys
+// and returns them. It is a partial selection sort: Nb is a handful of
+// pilot slots, so n passes over the stale keys beat sorting all of them.
+func selectTop(keys []rankKey, n int) []rankKey {
+	n = max(0, min(n, len(keys)))
+	for i := 0; i < n; i++ {
+		best := i
+		for j := i + 1; j < len(keys); j++ {
+			if compareKeys(keys[j], keys[best]) < 0 {
+				best = j
+			}
+		}
+		keys[i], keys[best] = keys[best], keys[i]
+	}
+	return keys[:n]
 }
 
 // priority computes eq. (2) for a request given the effective (staleness-
@@ -268,21 +327,16 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 	// --- Allocation phase ---
 
 	for i := range pool {
-		p.priority(s, &pool[i])
-	}
-	// (prio desc, ID asc) is a strict total order over distinct stations,
-	// so the stable sort's result is unique — identical to the
-	// sort.SliceStable it replaces, minus its reflection allocations.
-	slices.SortStableFunc(pool, func(a, b candidate) int {
-		if a.prio != b.prio {
-			return cmp.Compare(b.prio, a.prio)
+		if !pool[i].ranked {
+			p.priority(s, &pool[i])
 		}
-		return cmp.Compare(a.r.St.ID, b.r.St.ID)
-	})
+	}
+	keys := rank(p.keys, pool)
+	p.keys = keys
 
 	overhead := g.CharismaGrantOverheadSymbols
-	for i := range pool {
-		c := &pool[i]
+	for _, k := range keys {
+		c := &pool[k.idx]
 		st := c.r.St
 		var want int
 		if c.r.Kind == mac.KindVoice {
@@ -339,9 +393,11 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 
 	// Unserved contention-borne requests survive in the BS queue when it
 	// is enabled; without the queue they are lost and the stations must
-	// contend again. Reservation requests regenerate from BS state.
-	for i := range pool {
-		c := &pool[i]
+	// contend again. Reservation requests regenerate from BS state. The
+	// walk keeps rank order: when the queue fills, Enqueue rejects the
+	// lowest-ranked survivors.
+	for _, k := range keys {
+		c := &pool[k.idx]
 		if c.r == nil {
 			continue
 		}
@@ -355,34 +411,23 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 }
 
 // pollCSI spends the Nb pilot slots refreshing the highest-priority stale
-// estimates among the backlog candidates. The stale scratch holds
-// pointers into pool's backing array; they are only live within this
-// call, before any append or sort moves the candidates.
+// estimates among the backlog candidates, in rank order (each refresh
+// draws from s.Rand). A stale candidate left unrefreshed keeps the
+// priority ranked here for the allocation pass.
 func (p *Protocol) pollCSI(s *mac.System, pool []candidate) {
-	stale := p.stale[:0]
+	stale := p.keys[:0]
 	for i := range pool {
 		if s.EstimateStale(pool[i].r.Est) {
 			p.priority(s, &pool[i])
-			stale = append(stale, &pool[i])
+			pool[i].ranked = true
+			stale = appendKey(stale, pool, i)
 		}
 	}
-	p.stale = stale
-	if len(stale) == 0 {
-		return
-	}
-	slices.SortStableFunc(stale, func(a, b *candidate) int {
-		if a.prio != b.prio {
-			return cmp.Compare(b.prio, a.prio)
-		}
-		return cmp.Compare(a.r.St.ID, b.r.St.ID)
-	})
-	n := s.Cfg.Geometry.CharismaPilotSlots
-	if n > len(stale) {
-		n = len(stale)
-	}
-	for i := 0; i < n; i++ {
-		c := stale[i]
+	p.keys = stale
+	for _, k := range selectTop(stale, s.Cfg.Geometry.CharismaPilotSlots) {
+		c := &pool[k.idx]
 		c.r.Est = s.RefreshEstimate(c.r.St)
+		c.ranked = false
 		if c.r.Kind == mac.KindVoice && c.r.St.Reserved() {
 			p.resEst[c.r.St.ID] = c.r.Est
 		}

@@ -164,6 +164,3 @@ func (s *Stream) ExpPositiveInt(mean float64) int {
 	}
 	return v
 }
-
-// Perm returns a random permutation of [0,n).
-func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -178,27 +177,6 @@ func TestIntNRange(t *testing.T) {
 	}
 	if len(seen) != 7 {
 		t.Fatalf("IntN(7) covered only %d values", len(seen))
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	prop := func(seed int64, n uint8) bool {
-		size := int(n%20) + 1
-		p := New(seed).Perm(size)
-		if len(p) != size {
-			return false
-		}
-		seen := make([]bool, size)
-		for _, v := range p {
-			if v < 0 || v >= size || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

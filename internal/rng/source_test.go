@@ -59,12 +59,6 @@ func TestSourceMatchesMathRand(t *testing.T) {
 				t.Fatalf("seed %d step %d: Int63 %v, math/rand %v", seed, i, got, w)
 			}
 		}
-		got, w := s.Perm(50), twin.Perm(50)
-		for k := range got {
-			if got[k] != w[k] {
-				t.Fatalf("seed %d: Perm %v, math/rand %v", seed, got, w)
-			}
-		}
 	}
 }
 
