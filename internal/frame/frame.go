@@ -110,6 +110,27 @@ func (g Geometry) Validate() error {
 	if g.FrameSymbols <= 0 || g.MinislotSymbols <= 0 || g.InfoSlotSymbols <= 0 {
 		return fmt.Errorf("frame: non-positive symbol sizes")
 	}
+	// A negative count or size would hand its symbols to another subframe
+	// and overcommit the frame, so the budget checks below must not see one.
+	for _, f := range [...]struct {
+		name string
+		n    int
+	}{
+		{"CHARISMA request slots", g.CharismaRequestSlots},
+		{"CHARISMA pilot slots", g.CharismaPilotSlots},
+		{"CHARISMA grant overhead", g.CharismaGrantOverheadSymbols},
+		{"D-TDMA request slots", g.DTDMARequestSlots},
+		{"D-TDMA info slots", g.DTDMAInfoSlots},
+		{"RAMA auction slots", g.RAMAAuctionSlots},
+		{"RAMA auction symbols", g.RAMAAuctionSymbols},
+		{"RAMA info slots", g.RAMAInfoSlots},
+		{"DRMA info slots", g.DRMAInfoSlots},
+		{"DRMA minislots per slot", g.DRMAMinislotsPerSlot},
+	} {
+		if f.n < 0 {
+			return fmt.Errorf("frame: negative %s (%d)", f.name, f.n)
+		}
+	}
 	if got := g.CharismaInfoSymbols(); got < g.InfoSlotSymbols {
 		return fmt.Errorf("frame: CHARISMA info subframe too small (%d symbols)", got)
 	}

@@ -104,6 +104,18 @@ func TestValidateRejectsBadLayouts(t *testing.T) {
 		func(g *Geometry) { g.RMAVMaxGrantSlots = 0 },
 		func(g *Geometry) { g.VoicePeriod = 0 },
 		func(g *Geometry) { g.VoicePeriod = 900 }, // not a whole frame multiple
+		// Each negative count or size below passes the budget checks
+		// alone: a negative Nr or Nb enlarges CHARISMA's info subframe.
+		func(g *Geometry) { g.CharismaRequestSlots = -3 },
+		func(g *Geometry) { g.CharismaPilotSlots = -3 },
+		func(g *Geometry) { g.CharismaGrantOverheadSymbols = -1 },
+		func(g *Geometry) { g.DTDMARequestSlots = -1 },
+		func(g *Geometry) { g.DTDMAInfoSlots = -1 },
+		func(g *Geometry) { g.RAMAAuctionSlots = -1 },
+		func(g *Geometry) { g.RAMAAuctionSymbols = -1 },
+		func(g *Geometry) { g.RAMAInfoSlots = -1 },
+		func(g *Geometry) { g.DRMAInfoSlots = -1 },
+		func(g *Geometry) { g.DRMAMinislotsPerSlot = -1 },
 	}
 	for i, mutate := range cases {
 		g := Default()

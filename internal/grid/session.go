@@ -157,7 +157,7 @@ type Session struct {
 	closed   bool
 
 	// Byzantine-result defense (see Audit / audit.go). auditCond wakes the
-	// audit executors when a remote result is parked for re-execution;
+	// audit executor when a remote result is parked for re-execution;
 	// delivered tracks the provenance of unaudited remote results so a
 	// quarantine can unwind them; quarantined workers get no tasks and
 	// their posts die on lease validation.
@@ -775,14 +775,6 @@ func (s *Session) CacheStats() (CacheStats, bool) {
 		return sr.Stats(), true
 	}
 	return CacheStats{}, false
-}
-
-// Replications returns how many replications point j settled on — the
-// initial count, or more when the adaptive controller grew it.
-func (s *Session) Replications(j int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.states[j].scheduled
 }
 
 // Results aggregates each point's successful replications, in rep-index

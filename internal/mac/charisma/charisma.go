@@ -41,17 +41,11 @@ type Protocol struct {
 	// resEst holds the BS-side CSI estimate for each admitted (reserved)
 	// voice station, refreshed by polling; indexed by station ID.
 	resEst []channel.Estimate
-	// ackedAt stamps, per station ID, the frame in which the station's
-	// request was received (frame-stamped instead of cleared so marking
-	// the whole population acknowledged costs nothing per frame).
-	ackedAt []int64
 	// etaMax normalizes f(CSI) to [0,1].
 	etaMax float64
 	// avgEta tracks each station's EWMA realized throughput for the
 	// fairness extension (§6 / [22]); indexed by station ID.
 	avgEta []float64
-	// cands is the per-minislot contention candidate scratch.
-	cands []*mac.Station
 	// pool and keys are the per-frame candidate and ranking scratch,
 	// reused across frames so the gather/allocate cycle stops allocating
 	// once they reach their high-water marks.
@@ -112,14 +106,6 @@ func (p *Protocol) Init(s *mac.System) {
 		clear(p.resEst)
 	} else {
 		p.resEst = make([]channel.Estimate, n)
-	}
-	if cap(p.ackedAt) >= n {
-		p.ackedAt = p.ackedAt[:n]
-	} else {
-		p.ackedAt = make([]int64, n)
-	}
-	for i := range p.ackedAt {
-		p.ackedAt[i] = -1
 	}
 	modes := s.PHY.Modes()
 	p.etaMax = modes[len(modes)-1].Eta
@@ -270,7 +256,6 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 	g := s.Cfg.Geometry
 	budget := g.CharismaInfoSymbols()
 	s.M.AddInfoBudget(budget)
-	frame := s.FrameIndex()
 
 	// --- Gather phase ---
 
@@ -310,17 +295,16 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 	// Every station already represented in the pool (reservation or
 	// dequeued backlog) must not contend again this frame.
 	for i := range pool {
-		p.ackedAt[pool[i].r.St.ID] = frame
+		s.Acknowledge(pool[i].r.St)
 	}
 
 	// Request phase: Nr contention minislots gather new requests —
 	// without announcing any allocation yet.
 	for ms := 0; ms < g.CharismaRequestSlots; ms++ {
-		w := s.Contend(p.contenders(s, frame))
+		w := s.ContendMinislot()
 		if w == nil {
 			continue
 		}
-		p.ackedAt[w.ID] = frame
 		pool = append(pool, candidate{r: s.NewRequest(w, s.RequestKind(w))})
 	}
 
@@ -432,9 +416,4 @@ func (p *Protocol) pollCSI(s *mac.System, pool []candidate) {
 			p.resEst[c.r.St.ID] = c.r.Est
 		}
 	}
-}
-
-func (p *Protocol) contenders(s *mac.System, frame int64) []*mac.Station {
-	p.cands = s.AppendContenders(p.cands[:0], p.ackedAt, frame)
-	return p.cands
 }

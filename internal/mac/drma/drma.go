@@ -22,17 +22,12 @@ import (
 
 // Protocol is the DRMA access scheme.
 type Protocol struct {
-	// servedAt stamps, per station ID, the frame in which the station was
-	// acknowledged (frame-stamped so no per-frame clearing pass is needed).
-	servedAt []int64
 	// pending holds contention winners awaiting their information slot.
 	// This is the protocol's *dynamic reservation*: a successful request
 	// stays assigned at the base station until a slot frees up, which is
 	// also why an additional explicit request queue barely helps DRMA
 	// (§5.1: the protocol has an inherent queueing property).
 	pending []*mac.Request
-	// cands is the per-minislot contention candidate scratch.
-	cands []*mac.Station
 }
 
 // New returns a DRMA instance.
@@ -43,14 +38,6 @@ func (p *Protocol) Name() string { return "drma" }
 
 // Init implements mac.Protocol.
 func (p *Protocol) Init(s *mac.System) {
-	if n := len(s.Stations); cap(p.servedAt) >= n {
-		p.servedAt = p.servedAt[:n]
-	} else {
-		p.servedAt = make([]int64, n)
-	}
-	for i := range p.servedAt {
-		p.servedAt[i] = -1
-	}
 	p.pending = p.pending[:0]
 }
 
@@ -60,7 +47,6 @@ func (p *Protocol) fixedMode(s *mac.System) phy.Mode { return s.PHY.Modes()[0] }
 func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 	g := s.Cfg.Geometry
 	s.M.AddInfoBudget(g.DRMAInfoSlots * g.InfoSlotSymbols)
-	frame := s.FrameIndex()
 	mode := p.fixedMode(s)
 
 	// Pending grants from previous frames are served first, in FIFO
@@ -79,7 +65,7 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 		grants = append(grants, r)
 	}
 	for _, r := range grants {
-		p.servedAt[r.St.ID] = frame
+		s.Acknowledge(r.St)
 	}
 	reserved := s.VoiceReservationsDue()
 	ri := 0
@@ -118,12 +104,10 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 		// slot itself is consumed by the contention process; winners
 		// are granted *later* slots of this frame (or queued).
 		for x := 0; x < g.DRMAMinislotsPerSlot; x++ {
-			cands := p.contenders(s, frame)
-			w := s.Contend(cands)
+			w := s.ContendMinislot()
 			if w == nil {
 				continue
 			}
-			p.servedAt[w.ID] = frame
 			grants = append(grants, s.NewRequest(w, s.RequestKind(w)))
 		}
 	}
@@ -135,9 +119,4 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 	}
 	p.pending = append(grants[:0], grants[gi:]...)
 	return g.Duration()
-}
-
-func (p *Protocol) contenders(s *mac.System, frame int64) []*mac.Station {
-	p.cands = s.AppendContenders(p.cands[:0], p.servedAt, frame)
-	return p.cands
 }

@@ -29,12 +29,6 @@ import (
 type Protocol struct {
 	// Variable marks D-TDMA/VR: transmitter-side link adaptation.
 	Variable bool
-
-	// servedAt stamps, per station ID, the frame in which the station was
-	// acknowledged (frame-stamped so no per-frame clearing pass is needed).
-	servedAt []int64
-	// cands is the per-minislot contention candidate scratch.
-	cands []*mac.Station
 }
 
 // New returns the fixed-rate variant (D-TDMA/FR).
@@ -51,18 +45,8 @@ func (p *Protocol) Name() string {
 	return "d-tdma/fr"
 }
 
-// Init implements mac.Protocol. The stamp slice is resized in place when
-// capacity allows, so re-Init for a new replication does not allocate.
-func (p *Protocol) Init(s *mac.System) {
-	if n := len(s.Stations); cap(p.servedAt) >= n {
-		p.servedAt = p.servedAt[:n]
-	} else {
-		p.servedAt = make([]int64, n)
-	}
-	for i := range p.servedAt {
-		p.servedAt[i] = -1
-	}
-}
+// Init implements mac.Protocol; D-TDMA keeps no per-station state.
+func (p *Protocol) Init(s *mac.System) {}
 
 // txMode returns the transmission mode for a station: the fixed mode for
 // /FR; for /VR the station adapts using the CSI the receiver feeds back at
@@ -118,7 +102,6 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 	g := s.Cfg.Geometry
 	budget := g.DTDMAInfoSlots * g.InfoSlotSymbols
 	s.M.AddInfoBudget(budget)
-	frame := s.FrameIndex()
 
 	// Phase 1: reserved voice users transmit without contention.
 	for _, st := range s.VoiceReservationsDue() {
@@ -149,12 +132,10 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 
 	// Phase 3: request contention with immediate FCFS assignment.
 	for ms := 0; ms < g.DTDMARequestSlots; ms++ {
-		cands := p.contenders(s, frame)
-		w := s.Contend(cands)
+		w := s.ContendMinislot()
 		if w == nil {
 			continue
 		}
-		p.servedAt[w.ID] = frame
 		kind := s.RequestKind(w)
 		r := s.NewRequest(w, kind)
 		var used int
@@ -176,9 +157,4 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 		}
 	}
 	return g.Duration()
-}
-
-func (p *Protocol) contenders(s *mac.System, frame int64) []*mac.Station {
-	p.cands = s.AppendContenders(p.cands[:0], p.servedAt, frame)
-	return p.cands
 }

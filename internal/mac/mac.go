@@ -82,8 +82,12 @@ const (
 	// registry epoch only when it flips, so state changes that cannot
 	// alter the candidate set (servicing a reserved voice station, idle
 	// re-arms) leave the memoized candidate list valid. See Reindex and
-	// ForEachCandidate in registry.go.
+	// AppendContenders in registry.go.
 	flagCandidate uint8 = 1 << 6
+	// flagAcked marks a station whose request the base station
+	// acknowledged this frame; it does not contend again until EndFrame
+	// clears the mark (§2). See Acknowledge in registry.go.
+	flagAcked uint8 = 1 << 7
 )
 
 func (st *Station) bucket() bucketKind     { return bucketKind(st.flags & stationBucketBits) }
@@ -522,8 +526,8 @@ func (s *System) BeginFrame() {
 	s.scrubQueue()
 	// Fused candidate prepass: seed the contention-candidate cache from
 	// the snapshot while its stations are still cache-hot, so the
-	// protocol's first ForEachCandidate scan of the frame is free. This is
-	// exactly the scan that ForEachCandidate would run: the snapshot is a
+	// protocol's first AppendContenders scan of the frame is free. This is
+	// exactly the scan that AppendContenders would run: the snapshot is a
 	// slot-ordered superset of the contention buckets (wakeDue ran before
 	// it was taken, and nothing after can move a station into a contention
 	// bucket that was not in an active bucket already), and the Reindex
@@ -587,6 +591,10 @@ func (s *System) EndFrame(dur sim.Time) {
 			s.reg.chSync[st.slot] = int32(s.frameIdx + 1)
 		}
 	}
+	for _, st := range s.reg.acked {
+		st.flags &^= flagAcked
+	}
+	s.reg.acked = s.reg.acked[:0]
 	s.frameIdx++
 	s.lastDur = dur
 	if s.DebugEndFrame != nil {

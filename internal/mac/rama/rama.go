@@ -26,9 +26,6 @@ import (
 
 // Protocol is the RAMA access scheme.
 type Protocol struct {
-	// wonAt stamps, per station ID, the frame in which the station won an
-	// auction (frame-stamped so no per-frame clearing pass is needed).
-	wonAt []int64
 	// voiceBidders/dataBidders are per-auction bidder scratch.
 	voiceBidders []*mac.Station
 	dataBidders  []*mac.Station
@@ -40,17 +37,8 @@ func New() *Protocol { return &Protocol{} }
 // Name implements mac.Protocol.
 func (p *Protocol) Name() string { return "rama" }
 
-// Init implements mac.Protocol.
-func (p *Protocol) Init(s *mac.System) {
-	if n := len(s.Stations); cap(p.wonAt) >= n {
-		p.wonAt = p.wonAt[:n]
-	} else {
-		p.wonAt = make([]int64, n)
-	}
-	for i := range p.wonAt {
-		p.wonAt[i] = -1
-	}
-}
+// Init implements mac.Protocol; RAMA keeps no per-station state.
+func (p *Protocol) Init(s *mac.System) {}
 
 func (p *Protocol) fixedMode(s *mac.System) phy.Mode { return s.PHY.Modes()[0] }
 
@@ -76,7 +64,6 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 	g := s.Cfg.Geometry
 	slotsLeft := g.RAMAInfoSlots
 	s.M.AddInfoBudget(slotsLeft * g.InfoSlotSymbols)
-	frame := s.FrameIndex()
 	mode := p.fixedMode(s)
 
 	// Reserved voice users hold their periodic slots.
@@ -109,12 +96,12 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 
 	// Auction subframe.
 	for a := 0; a < g.RAMAAuctionSlots; a++ {
-		voice, data := p.bidders(s, frame)
+		voice, data := p.bidders(s)
 		w := p.auction(s, voice, data)
 		if w == nil {
 			break
 		}
-		p.wonAt[w.ID] = frame
+		s.Acknowledge(w)
 		kind := s.RequestKind(w)
 		r := s.NewRequest(w, kind)
 		if slotsLeft > 0 {
@@ -136,18 +123,19 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 	return g.Duration()
 }
 
-func (p *Protocol) bidders(s *mac.System, frame int64) (voice, data []*mac.Station) {
-	p.voiceBidders = p.voiceBidders[:0]
-	p.dataBidders = p.dataBidders[:0]
-	s.ForEachCandidate(func(st *mac.Station) {
-		if p.wonAt[st.ID] == frame {
-			return
-		}
+// bidders splits this frame's contenders, in station-ID order, into the
+// voice and data classes. The data class is filtered in place over the
+// contender list: each write lands at or before the element just read.
+func (p *Protocol) bidders(s *mac.System) (voice, data []*mac.Station) {
+	all := s.AppendContenders(p.dataBidders[:0])
+	voice, data = p.voiceBidders[:0], all[:0]
+	for _, st := range all {
 		if s.NeedsVoiceRequest(st) {
-			p.voiceBidders = append(p.voiceBidders, st)
+			voice = append(voice, st)
 		} else {
-			p.dataBidders = append(p.dataBidders, st)
+			data = append(data, st)
 		}
-	})
-	return p.voiceBidders, p.dataBidders
+	}
+	p.voiceBidders, p.dataBidders = voice, all
+	return voice, data
 }

@@ -135,16 +135,20 @@ type registry struct {
 	// standard frames ≈ 62 simulated days.
 	chSync []int32
 
-	frameScratch []*Station // BeginFrame snapshot of the active buckets
-	dueScratch   []*Station // VoiceReservationsDue collection
-	wakeScratch  []int32    // wakeDue's collected due slots
+	frameScratch   []*Station // BeginFrame snapshot of the active buckets
+	dueScratch     []*Station // VoiceReservationsDue collection
+	wakeScratch    []int32    // wakeDue's collected due slots
+	contendScratch []*Station // ContendMinislot's contenders
+	// acked lists the stations marked flagAcked this frame, so EndFrame
+	// clears exactly those marks.
+	acked []*Station
 
 	// epoch counts candidate-set changes: Reindex bumps it exactly when a
 	// station's contention candidacy flips (tracked per station in
 	// flagCandidate; every mutation of bucket membership or of a
 	// Needs*Request input flows through Reindex — see the Reindex doc).
 	// candScratch caches the contention-candidate list built at epoch
-	// candEpoch; while the epoch is unchanged, repeated ForEachCandidate
+	// candEpoch; while the epoch is unchanged, repeated AppendContenders
 	// scans (one per minislot in the request-slot loops, and across the
 	// service phases of a frame, which reindex reserved stations without
 	// changing the set) replay the cached slice instead of re-walking the
@@ -191,6 +195,8 @@ func (r *registry) reset(n int, ctr *obs.SimCounters) {
 	r.frameScratch = r.frameScratch[:0]
 	r.dueScratch = r.dueScratch[:0]
 	r.wakeScratch = r.wakeScratch[:0]
+	r.contendScratch = r.contendScratch[:0]
+	r.acked = r.acked[:0]
 }
 
 // place inserts a station slot into a bucket (registration time; the slot
@@ -376,20 +382,28 @@ func (s *System) appendIn(dst []*Station, mask bucketMask) []*Station {
 	return dst
 }
 
-// ForEachCandidate visits, in station-ID order, every station that
-// currently needs a voice or data request — the §2 contention population.
-// Protocols layer their per-frame "already acknowledged" filter on top.
+// Acknowledge records that the base station received st's request this
+// frame: by the §2 rule the station does not contend again until the
+// frame ends. The mark is one flag bit, and EndFrame clears the marks it
+// recorded here, so no per-station slab or per-frame sweep is needed.
+func (s *System) Acknowledge(st *Station) {
+	st.flags |= flagAcked
+	s.reg.acked = append(s.reg.acked, st)
+}
+
+// AppendContenders appends to dst, in station-ID order, every station that
+// currently needs a voice or data request — the §2 contention population —
+// and was not acknowledged this frame. Callers pass a reusable scratch as
+// dst so steady-state frames do not allocate.
 //
 // The candidate list is memoized on the registry epoch: the per-minislot
 // scans of a request-slot loop repeat with no intervening state change
 // (a collision slot acknowledges nobody), and a frame's service phases
 // reindex reserved stations without flipping anyone's candidacy, so both
-// replay the cached slice. Iterating a snapshot is equivalent to a live
-// bitset walk under forEachIn's contract — fn must not re-bucket stations
-// other than the one it was handed, and any mutation of the handed
-// station flows through Reindex, which bumps the epoch exactly when a
-// membership flip outdates the cache.
-func (s *System) ForEachCandidate(fn func(*Station)) {
+// replay the cached slice. The replay equals a fresh bitset walk because
+// every mutation of a station flows through Reindex, which bumps the
+// epoch exactly when a membership flip outdates the cache.
+func (s *System) AppendContenders(dst []*Station) []*Station {
 	r := &s.reg
 	if r.candEpoch != r.epoch {
 		s.ctr.CandMisses++
@@ -407,22 +421,22 @@ func (s *System) ForEachCandidate(fn func(*Station)) {
 		s.ctr.CandHits++
 	}
 	for _, st := range r.candScratch {
-		fn(st)
-	}
-}
-
-// AppendContenders appends to dst, in station-ID order, every contention
-// candidate whose stampedAt entry differs from frame — the shared shape of
-// the per-minislot scans: protocols stamp a station's ID with the current
-// frame when its request is acknowledged, and pass a reusable scratch as
-// dst so steady-state frames do not allocate.
-func (s *System) AppendContenders(dst []*Station, stampedAt []int64, frame int64) []*Station {
-	s.ForEachCandidate(func(st *Station) {
-		if stampedAt[st.ID] != frame {
+		if st.flags&flagAcked == 0 {
 			dst = append(dst, st)
 		}
-	})
+	}
 	return dst
+}
+
+// ContendMinislot runs one contention minislot over this frame's
+// contenders and acknowledges the winner, if any.
+func (s *System) ContendMinislot() *Station {
+	s.reg.contendScratch = s.AppendContenders(s.reg.contendScratch[:0])
+	w := s.Contend(s.reg.contendScratch)
+	if w != nil {
+		s.Acknowledge(w)
+	}
+	return w
 }
 
 // ForEachReserved visits, in station-ID order, every station holding an
@@ -435,9 +449,10 @@ func (s *System) ForEachReserved(fn func(*Station)) {
 
 // VerifyRegistry checks the registry invariants: every station sits in
 // exactly one bucket, the bucket matches its recorded label, at a frame
-// boundary the label matches the station's live state, and the wheel holds
-// a live entry exactly for the idle stations that have one to arm. Exposed
-// for the invariant tests.
+// boundary the label matches the station's live state and no station
+// carries this frame's acknowledgement mark, and the wheel holds a live
+// entry exactly for the idle stations that have one to arm. Exposed for
+// the invariant tests.
 func (s *System) VerifyRegistry() error {
 	entries := 0
 	for _, st := range s.Stations {
@@ -460,6 +475,9 @@ func (s *System) VerifyRegistry() error {
 			(s.NeedsVoiceRequest(st) || s.NeedsDataRequest(st))
 		if cand != (st.flags&flagCandidate != 0) {
 			return fmt.Errorf("mac: station %d candidate flag %v, live candidacy %v", st.ID, !cand, cand)
+		}
+		if st.flags&flagAcked != 0 {
+			return fmt.Errorf("mac: station %d still acknowledged at a frame boundary", st.ID)
 		}
 		armed := s.reg.wheel.armed(st.slot)
 		if st.bucket() != bucketIdle && armed {

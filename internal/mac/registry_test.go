@@ -175,3 +175,70 @@ func TestLazyChannelReplayMatchesEager(t *testing.T) {
 		t.Fatalf("lazy replay amplitude %v, eager %v", got, want)
 	}
 }
+
+// TestAcknowledgedStationSitsOutItsFrame: an acknowledged station is not a
+// contender for the rest of its frame, contends again the next frame, and
+// a lazy reset starts with nothing acknowledged.
+func TestAcknowledgedStationSitsOutItsFrame(t *testing.T) {
+	s := makeSystem(t, 40, 0, func(c *Config) { c.PermVoice = 1.0 })
+	var cands []*Station
+	for f := 0; f < 100000; f++ {
+		s.BeginFrame()
+		if cands = s.AppendContenders(nil); len(cands) >= 3 {
+			break
+		}
+		s.EndFrame(s.FrameDuration())
+	}
+	if len(cands) < 3 {
+		t.Fatal("never saw three contenders")
+	}
+	a, b := cands[0], cands[1]
+	s.Acknowledge(a)
+	if got := s.AppendContenders(nil); len(got) != len(cands)-1 || got[0] != b {
+		t.Fatalf("after acknowledging station %d: contenders %v", a.ID, ids(got))
+	}
+	// Every transmitting at pv = 1, the lone unacknowledged contender
+	// wins; an acknowledged one would have collided with it.
+	for _, st := range cands[2:] {
+		s.Acknowledge(st)
+	}
+	if w := s.ContendMinislot(); w != b {
+		t.Fatalf("minislot winner %v, want station %d", w, b.ID)
+	}
+	if w := s.ContendMinislot(); w != nil || len(s.AppendContenders(nil)) != 0 {
+		t.Fatalf("the winner contended again in its frame (winner %v)", w)
+	}
+	s.EndFrame(s.FrameDuration())
+	if err := s.VerifyRegistry(); err != nil {
+		t.Fatal(err)
+	}
+	s.BeginFrame()
+	if got := s.AppendContenders(nil); len(got) == 0 || got[0] != a {
+		t.Fatalf("next frame: contenders %v, want station %d first", ids(got), a.ID)
+	}
+
+	s.Acknowledge(a)
+	pop := &LazyPopulation{
+		FirstWake: []sim.Time{1 << 40, 1 << 40},
+		Materialize: func(int) (*traffic.VoiceSource, *traffic.DataSource, *channel.Fading) {
+			return nil, nil, nil
+		},
+	}
+	if err := s.ResetLazy(DefaultConfig(), s.PHY, 2, s.Rand, pop); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.reg.acked) != 0 {
+		t.Fatalf("reset kept %d acknowledgements", len(s.reg.acked))
+	}
+	if err := s.VerifyRegistry(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func ids(sts []*Station) []int {
+	out := make([]int, len(sts))
+	for i, st := range sts {
+		out[i] = st.ID
+	}
+	return out
+}

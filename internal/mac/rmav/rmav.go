@@ -12,6 +12,10 @@
 // which is why RMAV achieves very short delay at light load and high raw
 // throughput at high load.
 //
+// A voice slot is the station's MAC-level reservation, granted due now so
+// it recurs every frame; it lapses with the talkspurt as any protocol's
+// reservation does, so RMAV keeps no slot table of its own.
+//
 // The fatal flaw the paper demonstrates: one contention opportunity per
 // frame. As admitted users stretch the frame, contention opportunities per
 // second collapse exactly when the contender population grows, and the
@@ -31,18 +35,11 @@ import (
 
 // Protocol is the RMAV access scheme.
 type Protocol struct {
-	// voiceSlot records persistent voice slot assignments (one slot per
-	// frame for the whole talkspurt), per station ID. A slot whose
-	// reservation lapsed is released lazily the next time its station
-	// re-enters the contention population.
-	voiceSlot []bool
 	// dataGrant is the data station that won the previous competitive
 	// slot; it holds up to Pmax slots in this frame only ("one or more
 	// information slots ... in the next frame", §3.2) and must contend
 	// again afterwards.
 	dataGrant *mac.Station
-	// cands is the competitive-slot candidate scratch.
-	cands []*mac.Station
 }
 
 // New returns an RMAV instance.
@@ -53,12 +50,6 @@ func (p *Protocol) Name() string { return "rmav" }
 
 // Init implements mac.Protocol.
 func (p *Protocol) Init(s *mac.System) {
-	if n := len(s.Stations); cap(p.voiceSlot) >= n {
-		p.voiceSlot = p.voiceSlot[:n]
-		clear(p.voiceSlot)
-	} else {
-		p.voiceSlot = make([]bool, n)
-	}
 	p.dataGrant = nil
 }
 
@@ -77,12 +68,11 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 	// holders are exactly the stations whose MAC-level reservation is
 	// still alive, i.e. the registry's reserved bucket; a station whose
 	// reservation lapsed in BeginFrame has already left the bucket, so
-	// its slot simply stops recurring (voiceSlot is cleared when the
-	// station next contends).
+	// its slot simply stops recurring. The slot is the holder's grant
+	// for this frame, so a holder with a data backlog does not also
+	// contend.
 	s.ForEachReserved(func(st *mac.Station) {
-		if !p.voiceSlot[st.ID] {
-			return
-		}
+		s.Acknowledge(st)
 		assigned++
 		if st.Voice().Buffered() > 0 {
 			s.TransmitVoice(st, mode, 1)
@@ -107,24 +97,11 @@ func (p *Protocol) RunFrame(s *mac.System) sim.Time {
 	}
 
 	// The single competitive slot at the end of the frame.
-	p.cands = p.cands[:0]
-	s.ForEachCandidate(func(st *mac.Station) {
-		if p.voiceSlot[st.ID] {
-			if st.Reserved() {
-				return
-			}
-			// Talkspurt ended earlier: release the stale slot and let
-			// the station contend again.
-			p.voiceSlot[st.ID] = false
-		}
-		p.cands = append(p.cands, st)
-	})
-	if w := s.Contend(p.cands); w != nil {
+	if w := s.ContendMinislot(); w != nil {
 		if s.RequestKind(w) == mac.KindVoice {
-			p.voiceSlot[w.ID] = true
-			// Mark the MAC-level reservation so talkspurt-end release
-			// and metrics work uniformly; the slot itself recurs every
-			// frame rather than every 20 ms, hence due = now.
+			// The MAC-level reservation is the persistent slot; it
+			// recurs every frame rather than every 20 ms, hence
+			// due = now.
 			s.GrantReservationAt(w, s.Now())
 		} else {
 			p.dataGrant = w

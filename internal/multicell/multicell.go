@@ -265,9 +265,6 @@ func (d *Deployment) detach(u *user, c int, sys *mac.System) {
 	}
 }
 
-// Handoffs returns the number of executed handoffs.
-func (d *Deployment) Handoffs() uint64 { return d.handoffs }
-
 // decide re-evaluates every user's attachment. Each clone's long-term dB
 // is computed exactly once per decision (settling its lazily-deferred
 // fading first) and reused for the best-cell comparison.

@@ -77,12 +77,13 @@ func TestHandoffsHappen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Run(); err != nil {
+	r, err := d.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
 	// With 1 s shadow coherence and a 4 dB hysteresis over 11 s, users
 	// must have crossed cells.
-	if d.Handoffs() == 0 {
+	if r.Handoffs == 0 {
 		t.Fatal("no handoffs in 11 s of shadow evolution")
 	}
 }
@@ -94,10 +95,11 @@ func TestDisableHandoffFreezesAttachment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Run(); err != nil {
+	r, err := d.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Handoffs() != 0 {
+	if r.Handoffs != 0 {
 		t.Fatal("handoffs executed despite DisableHandoff")
 	}
 }
@@ -242,10 +244,11 @@ func TestHandoffWithDRMAPendingGrants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Run(); err != nil {
+	r, err := d.Run()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Handoffs() == 0 {
+	if r.Handoffs == 0 {
 		t.Fatal("scenario produced no handoffs; regression not exercised")
 	}
 }
@@ -270,10 +273,11 @@ func TestHysteresisDampensHandoffs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.Run(); err != nil {
+		r, err := d.Run()
+		if err != nil {
 			t.Fatal(err)
 		}
-		return d.Handoffs()
+		return r.Handoffs
 	}
 	loose, tight := run(0), run(10)
 	if tight >= loose {

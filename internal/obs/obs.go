@@ -50,8 +50,8 @@ type SimCounters struct {
 
 	// Registry candidate cache.
 	EpochBumps uint64 // candidacy-changing Reindex calls (cache invalidations)
-	CandHits   uint64 // ForEachCandidate served from the cached scratch
-	CandMisses uint64 // ForEachCandidate rebuilds of the scratch
+	CandHits   uint64 // AppendContenders served from the cached scratch
+	CandMisses uint64 // AppendContenders rebuilds of the scratch
 
 	// Replication arena (written with package atomics in core, folded
 	// into a SimCounters snapshot at read time).

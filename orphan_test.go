@@ -52,7 +52,9 @@ var stdlibMethods = map[string]bool{
 // itself, and a type is not read by its own methods. Because methods match
 // by name alone, an orphan method passes while any selector of the same
 // name exists, even one on a standard-library type: rng.Stream.Perm
-// passed this way on perfbench's math/rand/v2 Perm call.
+// passed this way on perfbench's math/rand/v2 Perm call. Field reads are
+// the commonest such selector, so a method named like an exported struct
+// field of the module is read only by a call of that name.
 func TestNoOrphanExports(t *testing.T) {
 	type owner struct{ pkg, recv, name string }
 	type decl struct {
@@ -60,8 +62,10 @@ func TestNoOrphanExports(t *testing.T) {
 		pos token.Position
 	}
 	var decls []decl
-	uses := map[[2]string][]owner{} // {pkg, name} -> reading contexts
-	selUses := map[string][]owner{} // selector name -> reading contexts
+	uses := map[[2]string][]owner{}  // {pkg, name} -> reading contexts
+	selUses := map[string][]owner{}  // selector name -> reading contexts
+	callUses := map[string][]owner{} // called selector name -> reading contexts
+	fields := map[string]bool{}      // exported struct field names
 
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
@@ -82,6 +86,18 @@ func TestNoOrphanExports(t *testing.T) {
 			return err
 		}
 		pkg := filepath.ToSlash(filepath.Dir(p))
+		ast.Inspect(f, func(n ast.Node) bool {
+			if st, ok := n.(*ast.StructType); ok {
+				for _, fd := range st.Fields.List {
+					for _, name := range fd.Names {
+						if name.IsExported() {
+							fields[name.Name] = true
+						}
+					}
+				}
+			}
+			return true
+		})
 		imports := map[string]string{}
 		for _, is := range f.Imports {
 			ip, _ := strconv.Unquote(is.Path.Value)
@@ -102,6 +118,12 @@ func TestNoOrphanExports(t *testing.T) {
 			var inspect func(n ast.Node) bool
 			inspect = func(n ast.Node) bool {
 				switch n := n.(type) {
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+						if x, ok := sel.X.(*ast.Ident); !ok || imports[x.Name] == "" {
+							callUses[sel.Sel.Name] = append(callUses[sel.Sel.Name], ctx)
+						}
+					}
 				case *ast.SelectorExpr:
 					if x, ok := n.X.(*ast.Ident); ok {
 						if ip, ok := imports[x.Name]; ok {
@@ -202,7 +224,11 @@ func TestNoOrphanExports(t *testing.T) {
 				continue
 			}
 			key = rel + "." + d.recv + "." + d.name
-			used = read(selUses[d.name], func(c owner) bool { return c == d.owner })
+			ctxs := selUses[d.name]
+			if fields[d.name] {
+				ctxs = callUses[d.name]
+			}
+			used = read(ctxs, func(c owner) bool { return c == d.owner })
 		}
 		switch {
 		case used:
